@@ -228,19 +228,27 @@ func ReplayExternal(rr *RunResult, log *relog.Log, mode record.Mode,
 	tr *obs.Tracer) (*replay.Result, error) {
 
 	if ref := rr.Recording(mode); ref != nil && log.Cores == rr.Cores {
-		for pid := 0; pid < log.Cores; pid++ {
-			orig := ref.Log.Chunks(pid)
-			byCID := make(map[int64]sim.Cycle, len(orig))
-			for _, c := range orig {
-				byCID[c.CID] = c.Duration
-			}
-			for _, c := range log.Chunks(pid) {
-				c.Duration = byCID[c.CID]
-			}
-		}
+		restoreDurations(ref.Log, log)
 	}
 	return replay.Run(log, rr.Workload, rr.Records,
 		replay.Config{Tracer: tr, Stats: rr.Stats, Profile: rr.Profiled})
+}
+
+// restoreDurations copies chunk durations, which the wire encoding
+// omits, from the reference recording onto an external log of the same
+// core count, matching chunks by (core, CID). The recorder numbers each
+// core's chunks densely from 0, so CID c is ref's chunk c; a chunk the
+// reference does not have gets duration 0.
+func restoreDurations(ref, log *relog.Log) {
+	for pid := 0; pid < log.Cores; pid++ {
+		orig := ref.Chunks(pid)
+		for _, c := range log.Chunks(pid) {
+			c.Duration = 0
+			if c.CID >= 0 && c.CID < int64(len(orig)) {
+				c.Duration = orig[c.CID].Duration
+			}
+		}
+	}
 }
 
 // NewDebugSession opens a time-travel debugging session (internal/debug)
@@ -258,16 +266,7 @@ func NewDebugSession(rr *RunResult, log *relog.Log, mode record.Mode, interval i
 		}
 		log = ref.Log
 	} else if ref != nil && log.Cores == rr.Cores {
-		for pid := 0; pid < log.Cores; pid++ {
-			orig := ref.Log.Chunks(pid)
-			byCID := make(map[int64]sim.Cycle, len(orig))
-			for _, c := range orig {
-				byCID[c.CID] = c.Duration
-			}
-			for _, c := range log.Chunks(pid) {
-				c.Duration = byCID[c.CID]
-			}
-		}
+		restoreDurations(ref.Log, log)
 	}
 	// Each session gets a private stats registry: the session's stall
 	// histogram is part of its checkpointed state, and sharing the run's

@@ -3,72 +3,50 @@
 // stepping, breakpoints/watchpoints, and the REPL behind the
 // `pacifier debug` subcommand. It turns the batch replayer into a
 // navigable timeline: any position between two chunk executions can be
-// restored exactly, so "go back one step" is "restore the nearest
-// checkpoint at or before pos−1 and re-execute forward".
+// restored exactly, so "go to p" — backwards or forwards — is "restore
+// the nearest checkpoint at or before p and re-execute forward".
 package debug
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"sort"
+import "pacifier/internal/replay"
 
-	"pacifier/internal/replay"
-)
-
-// Checkpoint is one captured position: the step count and the encoded
-// replay.State (the checkpoint wire format documented in DESIGN.md).
-// Data is byte-deterministic: capturing the same position of the same
-// run twice yields identical bytes, which is what the fixed-point tests
-// and transcript determinism stand on.
-type Checkpoint struct {
-	Pos  int64
-	Data []byte
-}
-
-// Hash returns the position's snapshot hash (hex SHA-256 of Data).
-func (c *Checkpoint) Hash() string {
-	h := sha256.Sum256(c.Data)
-	return hex.EncodeToString(h[:])
-}
-
-// store keeps checkpoints ordered by position. Positions are sparse
-// (one per interval plus position 0), so a sorted slice with binary
-// search beats anything fancier at the sizes replay logs reach.
+// store holds a session's checkpoints: immutable replay.States kept in
+// memory, one slot per interval boundary. Slot i is the state at
+// position i·interval, nil until the session first reaches it. A state
+// is captured at most once — every later visit to the position reuses
+// it — and is JSON-encoded only when hashed or exported.
 type store struct {
-	cks []*Checkpoint // sorted by Pos, unique
+	interval int64
+	slots    []*replay.State
+	n        int // non-nil slots
 }
 
-// put inserts or replaces the checkpoint at pos.
-func (s *store) put(pos int64, data []byte) {
-	i := sort.Search(len(s.cks), func(i int) bool { return s.cks[i].Pos >= pos })
-	if i < len(s.cks) && s.cks[i].Pos == pos {
-		s.cks[i].Data = data
-		return
-	}
-	s.cks = append(s.cks, nil)
-	copy(s.cks[i+1:], s.cks[i:])
-	s.cks[i] = &Checkpoint{Pos: pos, Data: data}
+func newStore(interval, total int64) store {
+	return store{interval: interval, slots: make([]*replay.State, total/interval+1)}
 }
 
-// nearest returns the checkpoint with the greatest position <= pos, or
-// nil when none exists (cannot happen once position 0 is stored).
-func (s *store) nearest(pos int64) *Checkpoint {
-	i := sort.Search(len(s.cks), func(i int) bool { return s.cks[i].Pos > pos })
-	if i == 0 {
-		return nil
+// due reports whether pos is a checkpoint position not yet captured.
+func (s *store) due(pos int64) bool {
+	return pos%s.interval == 0 && s.slots[pos/s.interval] == nil
+}
+
+// put stores st at its position, which must be due.
+func (s *store) put(st *replay.State) {
+	s.slots[st.Steps/s.interval] = st
+	s.n++
+}
+
+// latest returns the stored state with the greatest position for which
+// before holds, or position 0's state when before holds for none.
+// before must be monotone in position: true up to some position and
+// false after it.
+func (s *store) latest(before func(*replay.State) bool) *replay.State {
+	for i := len(s.slots) - 1; i > 0; i-- {
+		if st := s.slots[i]; st != nil && before(st) {
+			return st
+		}
 	}
-	return s.cks[i-1]
+	return s.slots[0]
 }
 
 // count returns the number of stored checkpoints.
-func (s *store) count() int { return len(s.cks) }
-
-// decode parses a checkpoint back into a replay.State.
-func (c *Checkpoint) decode() (*replay.State, error) {
-	st, err := replay.UnmarshalState(c.Data)
-	if err != nil {
-		return nil, fmt.Errorf("debug: corrupt checkpoint at pos %d: %w", c.Pos, err)
-	}
-	return st, nil
-}
+func (s *store) count() int { return s.n }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"pacifier/internal/coherence"
 	"pacifier/internal/cpu"
@@ -17,8 +18,10 @@ import (
 )
 
 // DefaultInterval is the checkpoint spacing (in executed chunks) a
-// session uses when the caller passes 0. Seek cost is O(interval)
-// chunk re-executions, memory cost is O(total/interval) states.
+// session uses when the caller passes 0. Once the session has reached a
+// position, seeking anywhere at or before it costs one state restore
+// plus at most interval−1 chunk re-executions; memory cost is
+// O(total/interval) states.
 const DefaultInterval = 64
 
 // Session is one time-travel debugging session over a replay: a
@@ -27,11 +30,10 @@ const DefaultInterval = 64
 // [0, TotalChunks]. A Session is not safe for concurrent use — the
 // REPL and the HTTP publisher serialize through it.
 type Session struct {
-	log      *relog.Log
-	st       *replay.Stepper
-	ckpts    store
-	interval int64
-	total    int64
+	log   *relog.Log
+	st    *replay.Stepper
+	ckpts store
+	total int64
 
 	breaks  []*Breakpoint
 	watches []*Watchpoint
@@ -51,12 +53,9 @@ func New(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg rep
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	s := &Session{
-		log: log, st: st, interval: interval,
-		total: int64(st.TotalChunks()),
-		pub:   NewPublisher(),
-	}
-	s.checkpoint()
+	total := int64(st.TotalChunks())
+	s := &Session{log: log, st: st, ckpts: newStore(interval, total), total: total, pub: NewPublisher()}
+	s.ckpts.put(st.CaptureState())
 	return s, nil
 }
 
@@ -67,7 +66,7 @@ func (s *Session) Pos() int64 { return s.st.Pos() }
 func (s *Session) Total() int64 { return s.total }
 
 // Interval returns the checkpoint spacing.
-func (s *Session) Interval() int64 { return s.interval }
+func (s *Session) Interval() int64 { return s.ckpts.interval }
 
 // Checkpoints returns how many positions are currently checkpointed.
 func (s *Session) Checkpoints() int { return s.ckpts.count() }
@@ -77,26 +76,44 @@ func (s *Session) Checkpoints() int { return s.ckpts.count() }
 // the session.
 func (s *Session) Stepper() *replay.Stepper { return s.st }
 
-// checkpoint captures the current position into the store.
-func (s *Session) checkpoint() error {
-	b, err := s.st.CaptureState().Marshal()
-	if err != nil {
-		return fmt.Errorf("debug: capture at pos %d: %w", s.Pos(), err)
-	}
-	s.ckpts.put(s.Pos(), b)
-	return nil
-}
-
-// step1 advances one chunk, auto-checkpointing on interval boundaries.
+// step1 advances one chunk, checkpointing an interval boundary the
+// first time the session reaches it.
 func (s *Session) step1() (replay.StepInfo, bool) {
 	info, ok := s.st.Step()
 	if !ok {
 		return info, false
 	}
-	if s.Pos()%s.interval == 0 {
-		_ = s.checkpoint()
+	if s.ckpts.due(s.Pos()) {
+		s.ckpts.put(s.st.CaptureState())
 	}
 	return info, true
+}
+
+// walk steps forward until done holds or the schedule ends.
+func (s *Session) walk(done func() bool) bool {
+	for !done() {
+		if _, ok := s.step1(); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// rewind prepares a forward walk to a target position: it restores the
+// latest checkpoint before the target (before must be monotone, see
+// store.latest) unless the live position is itself before the target
+// and no earlier than that checkpoint, in which case stepping on from
+// here is cheaper. A finalized stepper (Result) is always restored, which
+// undoes the finalization.
+func (s *Session) rewind(before func(*replay.State) bool, liveBefore bool) error {
+	ck := s.ckpts.latest(before)
+	if liveBefore && !s.st.Finished() && s.Pos() >= ck.Steps {
+		return nil
+	}
+	if err := s.st.RestoreState(ck); err != nil {
+		return fmt.Errorf("debug: restore pos %d: %w", ck.Steps, err)
+	}
+	return nil
 }
 
 // StepN advances up to n chunks, stopping early on a breakpoint,
@@ -154,9 +171,9 @@ func (s *Session) advance() (Stop, bool) {
 	return Stop{Reason: "step", Info: info}, true
 }
 
-// Seek moves to an absolute position in O(interval): restore the
-// nearest checkpoint at or before the target (unless the current
-// position is already between the two) and re-execute forward. Seeking
+// SeekTo moves to an absolute position: restore the nearest checkpoint
+// at or before the target — backwards, or forwards when that checkpoint
+// lies ahead of the current position — and re-execute forward. Seeking
 // past the end clamps to the final position.
 func (s *Session) SeekTo(pos int64) error {
 	if pos < 0 {
@@ -166,24 +183,10 @@ func (s *Session) SeekTo(pos int64) error {
 		pos = s.total
 	}
 	defer s.publish()
-	if pos < s.Pos() {
-		ck := s.ckpts.nearest(pos)
-		if ck == nil {
-			return fmt.Errorf("debug: no checkpoint at or before pos %d", pos)
-		}
-		st, err := ck.decode()
-		if err != nil {
-			return err
-		}
-		if err := s.st.RestoreState(st); err != nil {
-			return fmt.Errorf("debug: restore pos %d: %w", ck.Pos, err)
-		}
+	if err := s.rewind(func(st *replay.State) bool { return st.Steps <= pos }, s.Pos() <= pos); err != nil {
+		return err
 	}
-	for s.Pos() < pos {
-		if _, ok := s.step1(); !ok {
-			break
-		}
-	}
+	s.walk(func() bool { return s.Pos() >= pos })
 	return nil
 }
 
@@ -196,9 +199,8 @@ func (s *Session) ReverseStep(n int64) error {
 }
 
 // SeekSN positions just after the chunk of core pid covering operation
-// sn executes. The step index of that chunk is not known a priori, so
-// this is a forward scan — restarting from position 0 when the chunk
-// already lies behind — stopping when the matching chunk executes.
+// sn executes. The step index of that chunk is not known a priori; see
+// SeekChunk.
 func (s *Session) SeekSN(pid int, sn int64) error {
 	cid, found := int64(-1), false
 	for _, c := range s.log.Chunks(pid) {
@@ -213,7 +215,10 @@ func (s *Session) SeekSN(pid int, sn int64) error {
 	return s.SeekChunk(pid, cid)
 }
 
-// SeekChunk positions just after chunk (pid, cid) executes.
+// SeekChunk positions just after chunk (pid, cid) executes. The core's
+// cursor only grows with the position, so the walk starts from the
+// latest checkpoint at which the chunk had not yet executed (or from the
+// current position, when that is later and still before the chunk).
 func (s *Session) SeekChunk(pid int, cid int64) error {
 	if pid < 0 || pid >= s.st.Cores() {
 		return fmt.Errorf("debug: core %d out of range", pid)
@@ -222,33 +227,26 @@ func (s *Session) SeekChunk(pid int, cid int64) error {
 		return fmt.Errorf("debug: core %d has no chunk %d", pid, cid)
 	}
 	defer s.publish()
-	if s.st.Cursor(pid) > int(cid) {
-		if err := s.SeekTo(0); err != nil {
-			return err
-		}
+	before := func(st *replay.State) bool { return int64(st.Cursor[pid]) <= cid }
+	if err := s.rewind(before, int64(s.st.Cursor(pid)) <= cid); err != nil {
+		return err
 	}
-	for s.st.Cursor(pid) <= int(cid) {
-		if _, ok := s.step1(); !ok {
-			return fmt.Errorf("debug: schedule ended before core %d chunk %d executed", pid, cid)
-		}
+	if !s.walk(func() bool { return int64(s.st.Cursor(pid)) > cid }) {
+		return fmt.Errorf("debug: schedule ended before core %d chunk %d executed", pid, cid)
 	}
 	return nil
 }
 
 // SeekCycle positions at the first step where the replay makespan
-// reaches cycle c (restarting from 0 when the clock is already past).
+// reaches cycle c. The makespan only grows with the position, so the
+// walk starts like SeekChunk's.
 func (s *Session) SeekCycle(c int64) error {
 	defer s.publish()
-	if int64(s.st.MaxClock()) >= c {
-		if err := s.SeekTo(0); err != nil {
-			return err
-		}
+	before := func(st *replay.State) bool { return slices.Max(st.CoreClock) < c }
+	if err := s.rewind(before, int64(s.st.MaxClock()) < c); err != nil {
+		return err
 	}
-	for int64(s.st.MaxClock()) < c {
-		if _, ok := s.step1(); !ok {
-			break
-		}
-	}
+	s.walk(func() bool { return int64(s.st.MaxClock()) >= c })
 	return nil
 }
 
@@ -312,7 +310,8 @@ func (s *Session) Watches() []*Watchpoint { return s.watches }
 
 // SnapshotHash returns the hex SHA-256 of the current position's
 // encoded state — the identity the reverse-step determinism criterion
-// is phrased in: rstep(n) then step(n) must return the same hash.
+// is phrased in: rstep(n) then step(n) must return the same hash. It
+// is the only place a session JSON-encodes a state.
 func (s *Session) SnapshotHash() (string, error) {
 	b, err := s.st.CaptureState().Marshal()
 	if err != nil {
@@ -359,7 +358,9 @@ func (s *Session) Explain() string {
 
 // TraceWindow re-executes positions (from, to] with a tracer attached
 // and writes the window as a Chrome/Perfetto trace. The session
-// returns to its current position afterwards.
+// returns to its current position afterwards. Unlike SeekTo it never
+// jumps over a checkpoint inside the window: every chunk in (from, to]
+// executes, so every one is traced.
 func (s *Session) TraceWindow(from, to int64, path string) error {
 	if from < 0 {
 		from = 0
@@ -377,11 +378,8 @@ func (s *Session) TraceWindow(from, to int64, path string) error {
 	tr := obs.New("debug-window")
 	tr.SetLimit(int(to-from) * 4)
 	s.st.SetTracer(tr)
-	err := s.SeekTo(to)
+	s.walk(func() bool { return s.Pos() >= to })
 	s.st.SetTracer(nil)
-	if err != nil {
-		return err
-	}
 	if werr := obs.WriteChromeFile(path, tr.Events(), nil); werr != nil {
 		return werr
 	}
@@ -428,7 +426,7 @@ func (s *Session) Status() Status {
 		Breakpoints:   len(s.breaks),
 		Watchpoints:   len(s.watches),
 		Checkpoints:   s.ckpts.count(),
-		Interval:      s.interval,
+		Interval:      s.ckpts.interval,
 	}
 	for i := range st.CoreClock {
 		st.CoreClock[i] = int64(s.st.CoreClock(i))

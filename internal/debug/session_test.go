@@ -1,6 +1,10 @@
 package debug
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -296,5 +300,168 @@ func TestSessionStatusAndStream(t *testing.T) {
 	}
 	if !strings.Contains(string(s.DebugJSON()), `"schema_version"`) {
 		t.Fatal("DebugJSON missing schema_version")
+	}
+}
+
+// TestSeekAfterMidRunResult: Result finalizes the stepper mid-run (the
+// SSB flush), after which it refuses to step; a later forward seek must
+// undo the finalization and still land on the uninterrupted state.
+func TestSeekAfterMidRunResult(t *testing.T) {
+	ref := testSession(t, 2)
+	ref.StepN(7)
+	want, err := ref.SnapshotHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := testSession(t, 2)
+	s.StepN(3)
+	s.Result()
+	if err := s.SeekTo(7); err != nil {
+		t.Fatal(err)
+	}
+	if s.Pos() != 7 {
+		t.Fatalf("seek 7 after a mid-run Result landed at %d", s.Pos())
+	}
+	if got, _ := s.SnapshotHash(); got != want {
+		t.Fatalf("seek 7 after a mid-run Result: hash %s, uninterrupted run had %s", got, want)
+	}
+}
+
+// TestTraceWindowTracesEveryChunk: a forward seek may jump over stored
+// checkpoints, but a trace window must execute — and so trace — every
+// chunk in (from, to], even when checkpoints lie inside the window.
+func TestTraceWindowTracesEveryChunk(t *testing.T) {
+	s := testSession(t, 2)
+	if stop := s.Continue(); stop.Reason != "end" {
+		t.Fatalf("continue stopped with %+v", stop)
+	}
+	path := filepath.Join(t.TempDir(), "window.json")
+	for _, w := range [][2]int64{{1, 9}, {0, 12}, {4, 5}} {
+		if err := s.TraceWindow(w[0], w[1], path); err != nil {
+			t.Fatal(err)
+		}
+		if s.Pos() != s.Total() {
+			t.Fatalf("trace (%d, %d] left the session at %d", w[0], w[1], s.Pos())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		spans := 0
+		for _, e := range doc.TraceEvents {
+			if e.Name == "replay-chunk" {
+				spans++
+			}
+		}
+		if int64(spans) != w[1]-w[0] {
+			t.Fatalf("trace (%d, %d] has %d replay chunk spans, want %d", w[0], w[1], spans, w[1]-w[0])
+		}
+	}
+}
+
+// TestCheckpointsCapturedOnce: every checkpoint position is captured
+// the first time the session reaches it and never again, however the
+// session moves afterwards, and each stored state is exactly what a
+// fresh capture at that position gives.
+func TestCheckpointsCapturedOnce(t *testing.T) {
+	// A stats registry puts the stall histogram into the states too.
+	open := func() *Session {
+		s, err := New(testLog(), testWorkload(), nil,
+			replay.Config{ScanSeed: 7, Profile: true, Stats: sim.NewStats()}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	s.Continue()
+	stored := append([]*replay.State(nil), s.ckpts.slots...)
+	for i, st := range stored {
+		if st == nil || st.Steps != int64(i)*2 {
+			t.Fatalf("slot %d after Continue holds %+v", i, st)
+		}
+	}
+	if s.Checkpoints() != len(stored) {
+		t.Fatalf("%d checkpoints counted, %d stored", s.Checkpoints(), len(stored))
+	}
+	for _, pos := range []int64{5, 1, 12, 0, 7, 8, 3, 11, 2, 12, 6} {
+		if err := s.SeekTo(pos); err != nil {
+			t.Fatal(err)
+		}
+		if pos%2 == 0 {
+			s.ReverseStep(1)
+		}
+	}
+	s.SeekChunk(3, 2)
+	s.SeekCycle(10)
+	if s.Checkpoints() != len(stored) {
+		t.Fatalf("%d checkpoints after seeks, %d before", s.Checkpoints(), len(stored))
+	}
+	for i, st := range s.ckpts.slots {
+		if st != stored[i] {
+			t.Fatalf("checkpoint at pos %d was captured again", st.Steps)
+		}
+	}
+
+	fresh := open()
+	for _, st := range stored {
+		if err := fresh.SeekTo(st.Steps); err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Stepper().CaptureState().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("stored state at pos %d differs from a fresh capture:\n got %s\nwant %s", st.Steps, got, want)
+		}
+	}
+}
+
+// TestConditionSeeksFromAnywhere: the condition forms land on the same
+// position whether they start before the target, after it, or from a
+// finalized stepper.
+func TestConditionSeeksFromAnywhere(t *testing.T) {
+	ref := testSession(t, 2)
+	if err := ref.SeekChunk(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	chunkPos := ref.Pos()
+	if err := ref.SeekCycle(12); err != nil {
+		t.Fatal(err)
+	}
+	cyclePos := ref.Pos()
+
+	s := testSession(t, 2)
+	s.Continue()
+	for _, from := range []int64{0, 3, 12} {
+		if err := s.SeekTo(from); err != nil {
+			t.Fatal(err)
+		}
+		if from == 3 {
+			s.Result()
+		}
+		if err := s.SeekChunk(2, 1); err != nil || s.Pos() != chunkPos {
+			t.Fatalf("seek chunk 2:1 from %d: pos %d err %v, want pos %d", from, s.Pos(), err, chunkPos)
+		}
+		if err := s.SeekTo(from); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SeekCycle(12); err != nil || s.Pos() != cyclePos {
+			t.Fatalf("seek cycle 12 from %d: pos %d err %v, want pos %d", from, s.Pos(), err, cyclePos)
+		}
 	}
 }

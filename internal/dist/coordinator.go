@@ -90,8 +90,8 @@ type Coordinator struct {
 	// Metric handles, resolved once at construction (nil-safe no-ops
 	// while telemetry is disabled).
 	mRegistered, mHeartbeats, mLeases, mExpired *telemetry.Counter
-	mCompleted, mFailed, mStale, mSubmitted    *telemetry.Counter
-	hWall                                      *telemetry.Histogram
+	mCompleted, mFailed, mStale, mSubmitted     *telemetry.Counter
+	hWall                                       *telemetry.Histogram
 }
 
 // NewCoordinator builds a coordinator over a shared result cache.

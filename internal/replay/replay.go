@@ -18,7 +18,9 @@
 package replay
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pacifier/internal/coherence"
 	"pacifier/internal/cpu"
@@ -33,9 +35,6 @@ import (
 
 // SN aliases the global sequence number.
 type SN = coherence.SN
-
-// DebugStuck, when set by tests, observes scheduler deadlocks.
-var DebugStuck func(log *relog.Log, cursor []int, done map[relog.ChunkRef]bool, ssb map[string][]relog.ChunkRef)
 
 // Mismatch is one divergence between replay and recording.
 type Mismatch struct {
@@ -173,12 +172,16 @@ type replayer struct {
 	log      *relog.Log
 	memOps   [][]trace.Op // per core, memory ops in SN order
 	expected [][]cpu.ExecRecord
-	mem      map[coherence.Addr]uint64
+	mem      memory
 	mesh     *noc.Mesh
 
-	cursor []int // next chunk index per core
-	// chunkEnd doubles as the done set: a chunk is done iff present.
-	chunkEnd  map[relog.ChunkRef]sim.Cycle
+	// cursor is the next chunk index per core. Chunks of a core execute
+	// in CID order and relog.Validate pins CIDs dense, so chunk (pid, cid)
+	// is done iff cid < cursor[pid].
+	cursor []int
+	// chunkEnd[pid][cid] is the completion cycle of a done chunk; entries
+	// at or past the core's cursor are stale.
+	chunkEnd  [][]sim.Cycle
 	ssb       map[ssbKey]ssbEntry
 	coreClock []sim.Cycle
 	res       *Result
@@ -229,23 +232,20 @@ func (r *replayer) curCID(pid int) int64 {
 // with the recorded outcomes. expected[pid][sn-1] must be the recorded
 // ExecRecord (pass nil to skip verification).
 func Run(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg Config) (*Result, error) {
-	res, _, err := RunWithMemory(log, w, expected, cfg)
-	return res, err
+	st, err := NewStepper(log, w, expected, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return st.run(), nil
 }
 
-// ssbView renders the SSB for debugging.
-func (r *replayer) ssbView() map[string][]relog.ChunkRef {
-	out := map[string][]relog.ChunkRef{}
-	for k, e := range r.ssb {
-		out[fmt.Sprintf("p%d/c%d/o%d", k.pid, k.cid, k.offset)] = e.preds
-	}
-	return out
-}
+// done reports whether chunk p has executed.
+func (r *replayer) done(p relog.ChunkRef) bool { return p.CID < int64(r.cursor[p.PID]) }
 
 // ready reports whether every order constraint of the chunk is met.
 func (r *replayer) ready(c *relog.Chunk) bool {
 	for _, p := range c.Preds {
-		if _, done := r.chunkEnd[p]; !done {
+		if !r.done(p) {
 			return false
 		}
 	}
@@ -257,7 +257,7 @@ func (r *replayer) ready(c *relog.Chunk) bool {
 			return false
 		}
 		for _, p := range e.preds {
-			if _, done := r.chunkEnd[p]; !done {
+			if !r.done(p) {
 				return false
 			}
 		}
@@ -268,8 +268,7 @@ func (r *replayer) ready(c *relog.Chunk) bool {
 // execute replays one chunk atomically: P_set compensation stores first,
 // then the body with D_set skips and VLog overrides. It returns the
 // chunk's modeled execution span.
-func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
-	ref := relog.ChunkRef{PID: c.PID, CID: c.CID}
+func (r *replayer) execute(c *relog.Chunk) (sim.Cycle, sim.Cycle) {
 	// Timing: start after the po-predecessor and all chunk preds (+wake).
 	startAt := r.coreClock[c.PID]
 	wake := func(srcPID int) sim.Cycle {
@@ -279,8 +278,8 @@ func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
 	// startAt, so the stall can be attributed as network wake vs wait.
 	var wakePart sim.Cycle
 	for _, p := range c.Preds {
-		if end, ok := r.chunkEnd[p]; ok {
-			if wk := wake(p.PID); end+wk > startAt {
+		if r.done(p) {
+			if end, wk := r.chunkEnd[p.PID][p.CID], wake(p.PID); end+wk > startAt {
 				startAt = end + wk
 				wakePart = wk
 			}
@@ -289,8 +288,8 @@ func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
 	for _, pe := range c.PSet {
 		if e, ok := r.ssb[ssbKey{c.PID, pe.SrcCID, pe.Offset}]; ok {
 			for _, p := range e.preds {
-				if end, ok2 := r.chunkEnd[p]; ok2 {
-					if wk := wake(p.PID); end+wk > startAt {
+				if r.done(p) {
+					if end, wk := r.chunkEnd[p.PID][p.CID], wake(p.PID); end+wk > startAt {
 						startAt = end + wk
 						wakePart = wk
 					}
@@ -362,14 +361,14 @@ func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
 		}
 		switch op.Kind {
 		case trace.Read:
-			r.check(c.PID, sn, op, r.mem[op.Addr], false)
+			r.check(c.PID, sn, op, r.mem.load(op.Addr), false)
 		case trace.Write, trace.Release:
 			r.applyStore(c.PID, sn, op)
 		case trace.Acquire:
-			old := r.mem[op.Addr]
+			old := r.mem.load(op.Addr)
 			applied := old == 0
 			if applied {
-				r.mem[op.Addr] = 1
+				r.mem.store(op.Addr, 1)
 			}
 			r.checkRMW(c.PID, sn, op, old, applied)
 		}
@@ -381,13 +380,13 @@ func (r *replayer) execute(c *relog.Chunk, forced bool) (sim.Cycle, sim.Cycle) {
 	}
 	end := startAt + c.Duration
 	r.coreClock[c.PID] = end
-	r.chunkEnd[ref] = end
+	r.chunkEnd[c.PID][c.CID] = end
+	r.cursor[c.PID]++
 	if r.tr != nil {
 		r.tr.ReplayChunk(c.PID, c.CID, int64(startAt), int64(end),
 			int64(c.EndSN-c.StartSN+1), int64(stall))
 	}
 	r.cur = nil
-	_ = forced
 	return startAt, end
 }
 
@@ -404,9 +403,9 @@ func vlogValue(vlog []relog.VEntry, off int32) (uint64, bool) {
 func (r *replayer) applyStore(pid int, sn SN, op trace.Op) {
 	switch op.Kind {
 	case trace.Write:
-		r.mem[op.Addr] = cpu.StoreValue(pid, sn)
+		r.mem.store(op.Addr, cpu.StoreValue(pid, sn))
 	case trace.Release:
-		r.mem[op.Addr] = 0
+		r.mem.store(op.Addr, 0)
 	default:
 		// The log delayed this SN as a store but the workload op is not
 		// one: a log/workload mismatch, not a crash.
@@ -472,29 +471,25 @@ func (r *replayer) defect(d Defect) {
 // flushSSB executes any delayed stores never claimed by a P_set, so the
 // final memory image is complete; each is counted as a log defect.
 func (r *replayer) flushSSB() {
-	if len(r.ssb) == 0 {
-		return
-	}
-	keys := make([]ssbKey, 0, len(r.ssb))
-	for k := range r.ssb {
-		keys = append(keys, k)
-	}
-	// Deterministic order.
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			a, b := keys[i], keys[j]
-			if b.pid < a.pid || (b.pid == a.pid && (b.cid < a.cid || (b.cid == a.cid && b.offset < a.offset))) {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	for _, k := range keys {
+	for _, k := range r.ssbKeys() {
 		e := r.ssb[k]
 		r.applyStore(k.pid, e.sn, e.op)
 		r.res.LeftoverSSB++
 		r.diverge("leftover-ssb", k.pid, k.cid, e.sn, r.coreClock[k.pid], 0, 0,
 			fmt.Sprintf("delayed store (offset %d) never claimed by a P_set", k.offset))
 	}
+}
+
+// ssbKeys returns the parked stores' keys in (pid, cid, offset) order.
+func (r *replayer) ssbKeys() []ssbKey {
+	keys := make([]ssbKey, 0, len(r.ssb))
+	for k := range r.ssb {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b ssbKey) int {
+		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.cid, b.cid), cmp.Compare(a.offset, b.offset))
+	})
+	return keys
 }
 
 // FinalMemory is returned by RunWithMemory for final-state comparison.
@@ -515,11 +510,7 @@ func RunWithMemory(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecor
 	if err != nil {
 		return nil, nil, err
 	}
-	for {
-		if _, ok := st.Step(); !ok {
-			break
-		}
-	}
+	st.run()
 	res, mem := st.Finish()
 	return res, mem, nil
 }

@@ -3,9 +3,7 @@ package replay
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
-	"pacifier/internal/coherence"
 	"pacifier/internal/prof"
 	"pacifier/internal/relog"
 	"pacifier/internal/sim"
@@ -23,7 +21,9 @@ import (
 // it was captured from, which the debugger re-derives deterministically
 // from the run's seed. All slices are sorted, so the JSON encoding of a
 // State is byte-deterministic and Capture∘Restore∘Capture is a fixed
-// point.
+// point. A captured State is never written to afterwards, so the
+// debugger keeps its checkpoints as States and encodes one only to hash
+// or export it.
 type State struct {
 	SchemaVersion int `json:"schema_version"`
 
@@ -50,7 +50,8 @@ type State struct {
 	// by (PID, CID, Offset). The parked trace.Op is not serialized: it is
 	// re-derived from the workload as memOps[pid][sn-1].
 	SSB []SSBState `json:"ssb"`
-	// Mem is the replayed memory image, sorted by address.
+	// Mem is the replayed memory image: every word ever stored to,
+	// sorted by address.
 	Mem []MemState `json:"mem"`
 
 	// Result is a deep copy of the accumulated replay result.
@@ -86,11 +87,18 @@ type MemState struct {
 }
 
 // CaptureState snapshots the stepper's complete mutable state. The
-// returned State shares nothing with the stepper: restoring it later —
-// even into a different Stepper over the same (log, workload, config) —
-// reproduces the exact remaining schedule.
+// returned State shares nothing mutable with the stepper: restoring it
+// later — even into a different Stepper over the same (log, workload,
+// config) — reproduces the exact remaining schedule. The chunk-end table
+// and the memory image come out of their per-core and paged stores
+// already in canonical order; only the page keys and the small SSB are
+// sorted.
 func (s *Stepper) CaptureState() *State {
 	r := s.r
+	executed := 0
+	for _, n := range r.cursor {
+		executed += n
+	}
 	st := &State{
 		SchemaVersion: sim.SchemaVersion,
 		Steps:         s.steps,
@@ -103,44 +111,26 @@ func (s *Stepper) CaptureState() *State {
 		RNG:           r.rng.State(),
 		Cursor:        append([]int(nil), r.cursor...),
 		CoreClock:     make([]int64, len(r.coreClock)),
-		ChunkEnd:      make([]ChunkEndState, 0, len(r.chunkEnd)),
+		ChunkEnd:      make([]ChunkEndState, 0, executed),
 		SSB:           make([]SSBState, 0, len(r.ssb)),
-		Mem:           make([]MemState, 0, len(r.mem)),
+		Mem:           r.mem.capture(),
 		Result:        cloneResult(r.res),
 	}
 	for i, c := range r.coreClock {
 		st.CoreClock[i] = int64(c)
 	}
-	for ref, end := range r.chunkEnd {
-		st.ChunkEnd = append(st.ChunkEnd, ChunkEndState{PID: ref.PID, CID: ref.CID, End: int64(end)})
-	}
-	sort.Slice(st.ChunkEnd, func(i, j int) bool {
-		a, b := st.ChunkEnd[i], st.ChunkEnd[j]
-		if a.PID != b.PID {
-			return a.PID < b.PID
+	for pid, n := range r.cursor {
+		for cid, end := range r.chunkEnd[pid][:n] {
+			st.ChunkEnd = append(st.ChunkEnd, ChunkEndState{PID: pid, CID: int64(cid), End: int64(end)})
 		}
-		return a.CID < b.CID
-	})
-	for k, e := range r.ssb {
+	}
+	for _, k := range r.ssbKeys() {
+		e := r.ssb[k]
 		st.SSB = append(st.SSB, SSBState{
 			PID: k.pid, CID: k.cid, Offset: k.offset,
 			SN: int64(e.sn), Preds: append([]relog.ChunkRef(nil), e.preds...),
 		})
 	}
-	sort.Slice(st.SSB, func(i, j int) bool {
-		a, b := st.SSB[i], st.SSB[j]
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		if a.CID != b.CID {
-			return a.CID < b.CID
-		}
-		return a.Offset < b.Offset
-	})
-	for addr, v := range r.mem {
-		st.Mem = append(st.Mem, MemState{Addr: uint64(addr), Val: v})
-	}
-	sort.Slice(st.Mem, func(i, j int) bool { return st.Mem[i].Addr < st.Mem[j].Addr })
 	if r.profStats != nil {
 		st.Prof = r.profStats.Snapshot()
 	}
@@ -153,21 +143,24 @@ func (s *Stepper) CaptureState() *State {
 
 // RestoreState rewinds (or fast-forwards) the stepper to a previously
 // captured State. The stepper must be over the same (log, workload,
-// config) triple the State was captured from; only counts that can be
-// checked cheaply are validated. After restoring, stepping produces
-// exactly the sequence the original run produced from that position.
+// config) triple the State was captured from. The State's shape is
+// checked against the log before anything changes — core count, schema,
+// cursors within each core's chunks, one chunk-end entry per done chunk
+// in (pid, cid) order, a position and scan state consistent with them,
+// SSB stores inside the workload waiting on existing chunks,
+// word-aligned memory — so a rejected State leaves the stepper as it
+// was and stepping from an accepted one cannot index out of range. After
+// restoring, stepping produces exactly the sequence the original run
+// produced from that position. The State is only read, never retained.
 //
 // Process-global telemetry counters (pacifier_replay_*) are monotone
 // event counts and are deliberately not rewound: after a seek they
 // keep counting every chunk the debugger re-executes.
 func (s *Stepper) RestoreState(st *State) error {
+	if err := s.checkState(st); err != nil {
+		return err
+	}
 	r := s.r
-	if len(st.Cursor) != r.log.Cores || len(st.CoreClock) != r.log.Cores {
-		return fmt.Errorf("replay: state covers %d cores, log has %d", len(st.Cursor), r.log.Cores)
-	}
-	if st.SchemaVersion != sim.SchemaVersion {
-		return fmt.Errorf("replay: state schema %d, want %d", st.SchemaVersion, sim.SchemaVersion)
-	}
 	s.steps = st.Steps
 	s.remaining = st.Remaining
 	s.finished = st.Finished
@@ -180,24 +173,17 @@ func (s *Stepper) RestoreState(st *State) error {
 	for i, c := range st.CoreClock {
 		r.coreClock[i] = sim.Cycle(c)
 	}
-	r.chunkEnd = make(map[relog.ChunkRef]sim.Cycle, len(st.ChunkEnd))
 	for _, ce := range st.ChunkEnd {
-		r.chunkEnd[relog.ChunkRef{PID: ce.PID, CID: ce.CID}] = sim.Cycle(ce.End)
+		r.chunkEnd[ce.PID][ce.CID] = sim.Cycle(ce.End)
 	}
-	r.ssb = make(map[ssbKey]ssbEntry, len(st.SSB))
+	clear(r.ssb)
 	for _, e := range st.SSB {
-		op, ok := s.Op(e.PID, SN(e.SN))
-		if !ok {
-			return fmt.Errorf("replay: state SSB entry core %d sn %d outside workload", e.PID, e.SN)
-		}
+		op, _ := s.Op(e.PID, SN(e.SN))
 		r.ssb[ssbKey{e.PID, e.CID, e.Offset}] = ssbEntry{
 			op: op, sn: SN(e.SN), preds: append([]relog.ChunkRef(nil), e.Preds...),
 		}
 	}
-	r.mem = make(map[coherence.Addr]uint64, len(st.Mem))
-	for _, m := range st.Mem {
-		r.mem[coherence.Addr(m.Addr)] = m.Val
-	}
+	r.mem.restore(st.Mem)
 	r.res = cloneResult(st.Result)
 	if st.Prof != nil {
 		// Lat accumulators rebind lazily when the registry pointer
@@ -224,6 +210,50 @@ func (s *Stepper) RestoreState(st *State) error {
 	return nil
 }
 
+// checkState validates st against the stepper's log and workload.
+func (s *Stepper) checkState(st *State) error {
+	r := s.r
+	if len(st.Cursor) != r.log.Cores || len(st.CoreClock) != r.log.Cores {
+		return fmt.Errorf("replay: state covers %d cores, log has %d", len(st.Cursor), r.log.Cores)
+	}
+	if st.SchemaVersion != sim.SchemaVersion {
+		return fmt.Errorf("replay: state schema %d, want %d", st.SchemaVersion, sim.SchemaVersion)
+	}
+	i := 0
+	for pid, n := range st.Cursor {
+		if n < 0 || n > len(r.log.Chunks(pid)) {
+			return fmt.Errorf("replay: state cursor %d of core %d outside its %d chunks", n, pid, len(r.log.Chunks(pid)))
+		}
+		for cid := 0; cid < n; cid, i = cid+1, i+1 {
+			if i >= len(st.ChunkEnd) || st.ChunkEnd[i].PID != pid || st.ChunkEnd[i].CID != int64(cid) {
+				return fmt.Errorf("replay: state chunk-end table does not list core %d chunk %d at entry %d", pid, cid, i)
+			}
+		}
+	}
+	if i != len(st.ChunkEnd) {
+		return fmt.Errorf("replay: state chunk-end table has %d entries for %d done chunks", len(st.ChunkEnd), i)
+	}
+	if st.Steps != int64(i) || st.Remaining != r.log.TotalChunks()-i {
+		return fmt.Errorf("replay: state at step %d with %d remaining, but %d of %d chunks are done",
+			st.Steps, st.Remaining, i, r.log.TotalChunks())
+	}
+	if st.ScanStart < 0 || st.ScanStart >= r.log.Cores || st.ScanK < 0 || st.ScanK > r.log.Cores {
+		return fmt.Errorf("replay: state scan position (%d, %d) outside %d cores", st.ScanStart, st.ScanK, r.log.Cores)
+	}
+	for _, e := range st.SSB {
+		if _, ok := s.Op(e.PID, SN(e.SN)); !ok {
+			return fmt.Errorf("replay: state SSB entry core %d sn %d outside workload", e.PID, e.SN)
+		}
+		for _, p := range e.Preds {
+			if p.PID < 0 || p.PID >= r.log.Cores || p.CID < 0 || p.CID >= int64(len(r.log.Chunks(p.PID))) {
+				return fmt.Errorf("replay: state SSB entry core %d sn %d waits on chunk %d/%d, which does not exist",
+					e.PID, e.SN, p.PID, p.CID)
+			}
+		}
+	}
+	return checkWords(st.Mem)
+}
+
 // cloneResult deep-copies a Result so captured states stay immutable as
 // the live replay keeps accumulating.
 func cloneResult(in *Result) *Result {
@@ -246,8 +276,8 @@ func cloneResult(in *Result) *Result {
 
 // Marshal renders the state as deterministic JSON: struct-field order is
 // fixed and every slice is sorted at capture time, so two captures of
-// identical machine state are byte-identical. The debugger's checkpoint
-// files and snapshot hashes are built on this encoding.
+// identical machine state are byte-identical. The debugger's snapshot
+// hashes and exported (frozen) states are built on this encoding.
 func (st *State) Marshal() ([]byte, error) { return json.Marshal(st) }
 
 // UnmarshalState decodes a State produced by Marshal.

@@ -82,9 +82,9 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 		cfg:       cfg,
 		log:       log,
 		expected:  expected,
-		mem:       make(map[coherence.Addr]uint64),
+		mem:       newMemory(),
 		cursor:    make([]int, log.Cores),
-		chunkEnd:  make(map[relog.ChunkRef]sim.Cycle),
+		chunkEnd:  make([][]sim.Cycle, log.Cores),
 		ssb:       make(map[ssbKey]ssbEntry),
 		coreClock: make([]sim.Cycle, log.Cores),
 		res:       &Result{},
@@ -108,9 +108,16 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 	if cfg.Mesh.Nodes == 0 {
 		r.cfg.Mesh = noc.DefaultConfig(log.Cores)
 	}
-	r.mesh = noc.New(sim.NewEngine(), r.cfg.Mesh, nil)
+	// Replay reads only the mesh's latency model, so the mesh gets no
+	// event engine.
+	r.mesh = noc.New(nil, r.cfg.Mesh, nil)
+	ends := make([]sim.Cycle, log.TotalChunks())
+	for pid := range r.chunkEnd {
+		n := len(log.Chunks(pid))
+		r.chunkEnd[pid], ends = ends[:n:n], ends[n:]
+	}
 	for pid, th := range w.Threads {
-		var ops []trace.Op
+		ops := make([]trace.Op, 0, len(th))
 		for _, op := range th {
 			switch op.Kind {
 			case trace.Read, trace.Write, trace.Acquire, trace.Release:
@@ -159,9 +166,7 @@ func (s *Stepper) Step() (StepInfo, bool) {
 				// Do not advance scanK: the batch loop drains every ready
 				// chunk of this core before moving on, so the next Step
 				// re-probes the same core first.
-				c := r.log.Chunks(pid)[r.cursor[pid]]
-				info := s.executed(c, false)
-				r.cursor[pid]++
+				info := s.executed(r.log.Chunks(pid)[r.cursor[pid]], false)
 				s.progress = true
 				return info, true
 			}
@@ -173,13 +178,6 @@ func (s *Stepper) Step() (StepInfo, bool) {
 		// Stuck: the recorded DAG cannot be satisfied (e.g. Karma log of
 		// an execution with SCVs). Break the order deterministically at
 		// the smallest-timestamp stalled chunk.
-		if DebugStuck != nil {
-			done := make(map[relog.ChunkRef]bool, len(r.chunkEnd))
-			for ref := range r.chunkEnd {
-				done[ref] = true
-			}
-			DebugStuck(r.log, r.cursor, done, r.ssbView())
-		}
 		var victim *relog.Chunk
 		for pid := 0; pid < r.log.Cores; pid++ {
 			if r.cursor[pid] >= len(r.log.Chunks(pid)) {
@@ -197,15 +195,13 @@ func (s *Stepper) Step() (StepInfo, bool) {
 		r.diverge("order-break", victim.PID, victim.CID, 0, r.coreClock[victim.PID], 0, 0,
 			fmt.Sprintf("chunk ts=%d force-started despite %d unsatisfied predecessor(s)",
 				victim.TS, len(victim.Preds)))
-		info := s.executed(victim, true)
-		r.cursor[victim.PID]++
-		return info, true
+		return s.executed(victim, true), true
 	}
 }
 
 // executed runs one chunk through the replayer and accounts the step.
 func (s *Stepper) executed(c *relog.Chunk, forced bool) StepInfo {
-	start, end := s.r.execute(c, forced)
+	start, end := s.r.execute(c)
 	s.remaining--
 	s.steps++
 	return StepInfo{
@@ -220,7 +216,15 @@ func (s *Stepper) executed(c *relog.Chunk, forced bool) StepInfo {
 // the attribution report is decoded. Idempotent; Step returns false
 // afterwards. It may be called early (with chunks remaining) to
 // finalize a partial replay's Result.
+//
+// The returned memory is a copy of the image at this point; a batch
+// replay that only needs the Result (Run) never builds it.
 func (s *Stepper) Finish() (*Result, FinalMemory) {
+	return s.finish(), s.r.mem.final()
+}
+
+// finish is Finish without the memory copy.
+func (s *Stepper) finish() *Result {
 	r := s.r
 	if !s.finished {
 		s.finished = true
@@ -235,7 +239,16 @@ func (s *Stepper) Finish() (*Result, FinalMemory) {
 	if r.profStats != nil {
 		r.res.Prof = prof.FromStats(r.profStats)
 	}
-	return r.res, FinalMemory(r.mem)
+	return r.res
+}
+
+// run steps to the end of the schedule and finishes: the batch replay.
+func (s *Stepper) run() *Result {
+	for {
+		if _, ok := s.Step(); !ok {
+			return s.finish()
+		}
+	}
 }
 
 // Finished reports whether Finish has run.
@@ -272,7 +285,7 @@ func (s *Stepper) Cursor(pid int) int { return s.r.cursor[pid] }
 
 // MemValue returns the current replayed value at addr (zero if the
 // address was never stored to).
-func (s *Stepper) MemValue(addr coherence.Addr) uint64 { return s.r.mem[addr] }
+func (s *Stepper) MemValue(addr coherence.Addr) uint64 { return s.r.mem.load(addr) }
 
 // Op returns core pid's memory operation with serial number sn
 // (1-based), ok=false when out of range.

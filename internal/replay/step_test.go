@@ -244,3 +244,47 @@ func mustStepper(t *testing.T, l *relog.Log, w *trace.Workload, cfg Config) *Ste
 	}
 	return st
 }
+
+// TestRestoreRejectsMalformedState: a State that does not fit the log
+// — as a hand-edited or corrupted export might — is rejected with an
+// error before anything changes, so the stepper keeps its position.
+func TestRestoreRejectsMalformedState(t *testing.T) {
+	w, l := synthWorkload(), synthLog()
+	st := mustStepper(t, l, w, synthConfig())
+	for i := 0; i < 5; i++ {
+		st.Step()
+	}
+	good, err := st.CaptureState().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*State){
+		"cursor past the core's chunks": func(s *State) { s.Cursor[0] = 4 },
+		"negative cursor":               func(s *State) { s.Cursor[1] = -1 },
+		"missing chunk-end entry":       func(s *State) { s.ChunkEnd = s.ChunkEnd[1:] },
+		"extra chunk-end entry":         func(s *State) { s.ChunkEnd = append(s.ChunkEnd, ChunkEndState{PID: 3, CID: 2}) },
+		"unaligned memory word":         func(s *State) { s.Mem = append(s.Mem, MemState{Addr: 0x10003, Val: 1}) },
+		"SSB store outside workload":    func(s *State) { s.SSB = append(s.SSB, SSBState{PID: 0, SN: 99}) },
+		"SSB store waiting on no chunk": func(s *State) {
+			s.SSB = append(s.SSB, SSBState{PID: 0, SN: 1, Preds: []relog.ChunkRef{{PID: 1, CID: -1}}})
+		},
+		"position off the cursors":  func(s *State) { s.Steps++ },
+		"remaining off the cursors": func(s *State) { s.Remaining-- },
+		"scan start outside cores":  func(s *State) { s.ScanStart = -1 },
+	} {
+		bad, err := UnmarshalState(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(bad)
+		fresh := mustStepper(t, l, w, synthConfig())
+		fresh.Step()
+		before, _ := fresh.CaptureState().Marshal()
+		if err := fresh.RestoreState(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if after, _ := fresh.CaptureState().Marshal(); !bytes.Equal(after, before) {
+			t.Errorf("%s: rejected restore changed the stepper", name)
+		}
+	}
+}
