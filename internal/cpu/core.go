@@ -84,6 +84,7 @@ type Core struct {
 	pid  int
 	cfg  Config
 	eng  *sim.Engine
+	sid  int // stepper index in eng, the handle for Sleep and Wake
 	l1   *coherence.L1
 	obs  Observer
 	rng  *sim.RNG
@@ -106,6 +107,11 @@ type Core struct {
 	busyUntil   sim.Cycle
 	atBarrier   bool
 	barrierFrom sim.Cycle
+
+	// sbFullAt is the cycle of the Step the core fell asleep after
+	// with retire stalled on a full store buffer, or -1. Every cycle
+	// it sleeps through is one more stall cycle to attribute.
+	sbFullAt sim.Cycle
 
 	// pendAcq lists the SNs of unperformed acquires in the window, in
 	// program order (acquires also perform in program order, so the head
@@ -164,7 +170,9 @@ func (c *Core) SetProfile(on bool) {
 	}
 }
 
-// NewCore builds a core. rng must be a dedicated stream for this core.
+// NewCore builds a core and registers it as one of eng's steppers.
+// Cores must be built in ascending pid order per engine. rng must be a
+// dedicated stream for this core.
 func NewCore(pid int, cfg Config, eng *sim.Engine, l1 *coherence.L1,
 	prog trace.Thread, hub Barrier, obs Observer, rng *sim.RNG) *Core {
 	if obs == nil {
@@ -196,12 +204,15 @@ func NewCore(pid int, cfg Config, eng *sim.Engine, l1 *coherence.L1,
 		sb:   make([]sbEntry, cfg.SBSize),
 		fwd:  make(map[coherence.Addr][]fwdEntry),
 		recs: make([]ExecRecord, 0, nops),
+
+		sbFullAt: -1,
 	}
 	c.loadDoneFn = c.loadDone
 	c.storeLocalFn = c.storeLocal
 	c.storeDoneFn = c.storeDone
 	c.rmwUpdateFn = func(old uint64) (uint64, bool) { return 1, old == 0 }
 	c.rmwDoneFn = c.rmwDone
+	c.sid = eng.RegisterPID(c, pid)
 	return c
 }
 
@@ -234,38 +245,77 @@ func (c *Core) instBySN(sn SN) *inst {
 }
 
 // Step advances the core one cycle: retire from the window head, drain
-// the store buffer, and dispatch new operations. Work per cycle is
-// O(Width), which keeps 64-core simulations tractable.
+// the store buffer, and dispatch new operations. The engine steps a core
+// only on cycles where it can act: a Step that changes nothing puts the
+// core to sleep until time alone could change something (see sleep),
+// and every completion callback wakes it. A core waiting out a Compute
+// op, parked at a barrier, or finished therefore costs nothing per
+// cycle.
 func (c *Core) Step(now sim.Cycle) {
-	// Parked or finished cores have nothing to retire, drain, or
-	// dispatch; skip the calls entirely (most cycles at a barrier).
-	if c.winLen == 0 && c.sbLen == 0 && (c.atBarrier || c.pc >= len(c.prog)) {
-		return
+	if c.sbFullAt >= 0 {
+		// Every skipped cycle would have been one more SB-full stall.
+		c.lat.Add(c.stats, prof.SBFull, int64(now-c.sbFullAt-1))
+		c.sbFullAt = -1
 	}
-	c.retire(now)
-	c.drainSB(now)
-	c.dispatch(now)
+	retired := c.retire(now)
+	drained := c.drainSB(now)
+	dispatched := c.dispatch(now)
+	if !retired && !drained && !dispatched {
+		c.sleep(now)
+	}
 }
+
+// sleep parks the core after a Step that changed nothing. Until a
+// completion callback wakes it, every later Step would change nothing
+// either, except where time alone unblocks a stage: dispatch resumes at
+// busyUntil, and the oldest unissued store may issue once its drain
+// delay expires (if an issue slot is free). The core sleeps until the
+// earliest of those, or until woken.
+//
+// A skipped Step would have had one side effect: the one-cycle SB-full
+// stall retire attributes when the window head is a store and the store
+// buffer is full. sbFullAt makes the next Step charge those cycles.
+func (c *Core) sleep(now sim.Cycle) {
+	at := sim.Never
+	if c.busyUntil > now && c.pc < len(c.prog) {
+		at = c.busyUntil
+	}
+	if c.sbIssued < c.sbLen && c.sbInFlight < c.cfg.MaxSBIssue {
+		if r := c.sb[(c.sbHead+c.sbIssued)%len(c.sb)].readyAt; r > now && r < at {
+			at = r
+		}
+	}
+	if c.lat != nil && c.retireStalledOnSB() {
+		c.sbFullAt = now
+	}
+	c.eng.Sleep(c.sid, at)
+}
+
+// wake ends the core's sleep: a completion callback changed its state.
+func (c *Core) wake() { c.eng.Wake(c.sid) }
 
 // ---------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------
 
-func (c *Core) dispatch(now sim.Cycle) {
+// dispatch consumes up to Width ops from the trace and reports whether
+// it consumed any.
+func (c *Core) dispatch(now sim.Cycle) bool {
+	start := c.pc
 	for n := 0; n < c.cfg.Width; n++ {
 		if c.atBarrier || now < c.busyUntil || c.pc >= len(c.prog) {
-			return
+			break
 		}
 		op := c.prog[c.pc]
 		switch op.Kind {
 		case trace.Compute:
 			c.busyUntil = now + sim.Cycle(op.Cycles)
 			c.pc++
-			return
+			return true
 		case trace.Barrier:
 			// Full fence: wait for the window and SB to drain, then park.
 			if c.winLen != 0 || c.sbLen != 0 {
-				return
+				return c.pc != start
 			}
 			c.atBarrier = true
 			c.barrierFrom = now
@@ -275,11 +325,12 @@ func (c *Core) dispatch(now sim.Cycle) {
 				c.atBarrier = false
 				c.lat.Add(c.stats, prof.Barrier, int64(c.eng.Now()-c.barrierFrom))
 				c.obs.OnIdle(c.pid, int64(c.eng.Now()-c.barrierFrom))
+				c.wake()
 			})
-			return
+			return true
 		}
 		if c.winLen >= c.cfg.Window {
-			return
+			break
 		}
 		c.pc++
 		c.nextSN++
@@ -315,6 +366,7 @@ func (c *Core) dispatch(now sim.Cycle) {
 			c.recs[sn-1].Value = 0 // release writes zero (unlock)
 		}
 	}
+	return c.pc != start
 }
 
 // blockedByAcquire reports whether an older unperformed Acquire precedes
@@ -353,6 +405,7 @@ func (c *Core) tryIssueLoad(in *inst) {
 func (c *Core) loadDone(sn SN, v uint64) {
 	in := c.instBySN(sn)
 	in.performed = true
+	c.wake()
 	c.performedLoads++
 	c.recs[sn-1].Value = v
 	c.obs.OnLoadValue(c.pid, sn, in.op.Addr, v)
@@ -385,6 +438,7 @@ func (c *Core) rmwDone(sn SN, old uint64, applied bool) {
 	}
 	in := c.instBySN(sn)
 	in.performed = true
+	c.wake()
 	c.acquirePerformed(sn)
 	c.recs[sn-1].Value = old
 	c.recs[sn-1].Applied = true
@@ -453,20 +507,23 @@ func (c *Core) wakeAfterAcquire(sn SN) {
 // Retire
 // ---------------------------------------------------------------------
 
-func (c *Core) retire(now sim.Cycle) {
-	for n := 0; n < c.cfg.Width && c.winLen > 0; n++ {
+// retire retires up to Width ops from the window head, moving stores
+// into the store buffer, and reports whether it retired any.
+func (c *Core) retire(now sim.Cycle) bool {
+	n := 0
+	for ; n < c.cfg.Width && c.winLen > 0; n++ {
 		in := &c.win[c.winHead]
 		switch in.op.Kind {
 		case trace.Read, trace.Acquire:
 			if !in.performed {
-				return
+				return n > 0
 			}
 		case trace.Write, trace.Release:
 			if c.sbLen >= c.cfg.SBSize {
 				// SB full: retirement stalls this cycle (retire runs once
 				// per cycle, so the blocked attempt is worth one cycle).
 				c.lat.Add(c.stats, prof.SBFull, 1)
-				return
+				return n > 0
 			}
 			delay := sim.Cycle(0)
 			if c.cfg.SBDelayMax > 0 {
@@ -491,34 +548,49 @@ func (c *Core) retire(now sim.Cycle) {
 		c.retired++
 		c.obs.OnRetire(c.pid, sn)
 	}
+	return n > 0
+}
+
+// retireStalledOnSB reports whether retire is blocked on a full store
+// buffer: the window head is a store with no SB entry to move into.
+func (c *Core) retireStalledOnSB() bool {
+	if c.winLen == 0 || c.sbLen < c.cfg.SBSize {
+		return false
+	}
+	k := c.win[c.winHead].op.Kind
+	return k == trace.Write || k == trace.Release
 }
 
 // ---------------------------------------------------------------------
 // Store buffer
 // ---------------------------------------------------------------------
 
-func (c *Core) drainSB(now sim.Cycle) {
+// drainSB frees completed entries from the store buffer's head and
+// issues at most one more, reporting whether it did either.
+func (c *Core) drainSB(now sim.Cycle) bool {
 	// Free completed entries from the head (FIFO deallocation).
+	freed := false
 	for c.sbLen > 0 && c.sb[c.sbHead].completed {
 		c.sbHead = (c.sbHead + 1) % len(c.sb)
 		c.sbLen--
 		c.sbIssued--
+		freed = true
 	}
 	if c.sbInFlight >= c.cfg.MaxSBIssue {
-		return
+		return freed
 	}
 	if c.sbIssued >= c.sbLen {
-		return // everything in flight already
+		return freed // everything in flight already
 	}
 	// Issue the oldest unissued entry (FIFO issue, out-of-order
 	// completion: this is where store-store reordering comes from).
 	e := &c.sb[(c.sbHead+c.sbIssued)%len(c.sb)]
 	if now < e.readyAt {
-		return
+		return freed
 	}
 	if e.release && !c.oldersComplete() {
 		// Release semantics: wait for all older stores to perform.
-		return
+		return freed
 	}
 	e.issued = true
 	c.sbIssued++
@@ -528,6 +600,7 @@ func (c *Core) drainSB(now sim.Cycle) {
 			int64(c.sbLen-c.sbIssued))
 	}
 	c.l1.Store(e.addr, e.val, e.sn, c.storeLocalFn, c.storeDoneFn)
+	return true
 }
 
 // oldersComplete reports whether every SB entry older than the first
@@ -550,6 +623,7 @@ func (c *Core) storeDone(sn SN) {
 		if e.sn == sn {
 			e.completed = true
 			c.sbInFlight--
+			c.wake()
 			c.storeGloballyPerformed(e.addr, sn)
 			return
 		}

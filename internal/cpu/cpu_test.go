@@ -80,7 +80,6 @@ func runCore(t *testing.T, prog trace.Thread, obs Observer) *Core {
 	sys := coherence.NewSystem(eng, mesh, coherence.DefaultConfig(1), st, nil)
 	hub := NewBarrierHub(1)
 	c := NewCore(0, DefaultConfig(), eng, sys.L1(0), prog, hub, obs, sim.NewRNG(1))
-	eng.Register(c)
 	if !eng.RunUntil(func() bool { return c.Done() && sys.Quiesced() }, 1_000_000) {
 		t.Fatalf("core did not finish: %s", c)
 	}
@@ -179,8 +178,6 @@ func TestCoreIdleReportedAtBarrier(t *testing.T) {
 	slow := trace.Thread{{Kind: trace.Compute, Cycles: 500}, {Kind: trace.Barrier, ID: 0}}
 	c0 := NewCore(0, DefaultConfig(), eng, sys.L1(0), fast, hub, obs, sim.NewRNG(1))
 	c1 := NewCore(1, DefaultConfig(), eng, sys.L1(1), slow, hub, obs, sim.NewRNG(2))
-	eng.Register(c0)
-	eng.Register(c1)
 	if !eng.RunUntil(func() bool { return c0.Done() && c1.Done() }, 100000) {
 		t.Fatal("barrier never released")
 	}

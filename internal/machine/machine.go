@@ -143,7 +143,6 @@ func New(cfg Config, w *trace.Workload, obs Observer) (*Machine, error) {
 		core.Instrument(stats, cfg.Tracer)
 		core.SetProfile(cfg.Profile)
 		m.Cores = append(m.Cores, core)
-		eng.Register(core)
 	}
 	return m, nil
 }

@@ -39,9 +39,9 @@
 //     release then runs at the barrier: resumes execute pinned to the
 //     last arriver's (cycle, pid, counter) context — reproducing the
 //     serial capture positions — and waiters with pid greater than the
-//     last arriver re-run their (previously parked, hence no-op)
-//     Step(R) pinned to their own context, exactly as the serial
-//     engine ran them after the inline release.
+//     last arriver run the Step(R) their shard skipped (they slept,
+//     parked at the barrier) pinned to their own context, exactly as
+//     the serial engine ran them after the inline release.
 package machine
 
 import (
@@ -480,7 +480,6 @@ func newSharded(cfg Config, w *trace.Workload, real Observer) (*Machine, error) 
 		core.Instrument(ss.stats[s], tr)
 		core.SetProfile(cfg.Profile)
 		m.Cores = append(m.Cores, core)
-		ss.engOf[pid].RegisterPID(core, pid)
 	}
 
 	group.SetLocalQuiet(ss.localQuiet)
@@ -613,11 +612,12 @@ func (ss *shardState) applyArrivals(minNow sim.Cycle) {
 // release reproduces the serial hub's synchronous release. The last
 // arriver (max (cycle, pid)) ran the waiters inline from its Step(R):
 // resumes execute pinned to its context continuing its operation
-// counter, and every waiter with a higher pid re-runs its Step(R) —
-// which the shards executed as a parked no-op — pinned to its own
-// context. The step-locked window protocol guarantees every shard sits
-// at exactly R+1 here, so catch-up posts (delay >= 1) can never land in
-// any shard's past.
+// counter, and every waiter with a higher pid runs its Step(R) — which
+// its shard skipped, the core sleeping parked — pinned to its own
+// context. Each resume wakes its core, so it steps again at R+1. The
+// step-locked window protocol guarantees every shard sits at exactly
+// R+1 here, so catch-up posts (delay >= 1) can never land in any
+// shard's past.
 func (ss *shardState) release(arr []arrival) {
 	last := arr[len(arr)-1]
 	R := last.cycle

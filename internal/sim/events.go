@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Cycle is a point in simulated time. The whole machine shares one clock.
 type Cycle int64
 
@@ -82,8 +84,12 @@ func (h *eventHeap) pop() Event {
 }
 
 // Engine is a discrete-event scheduler with a monotone clock. Components
-// that step every cycle (the cores) register as Steppers; sporadic work
-// (message deliveries, timer expirations) is posted as events.
+// clocked by the cycle (the cores) register as Steppers; sporadic work
+// (message deliveries, timer expirations) is posted as events. A stepper
+// steps every cycle unless it sleeps: Sleep(i, at) skips stepper i on
+// every cycle before at, and Wake(i) ends the sleep. A component sleeps
+// when stepping it could change nothing before at (or before some event
+// wakes it), so skipping it is invisible to the simulation.
 //
 // Events within the scheduling horizon live in a calendar queue: a ring
 // of per-cycle buckets whose backing arrays are reused cycle after cycle,
@@ -100,6 +106,7 @@ type Engine struct {
 	now     Cycle
 	nextSeq uint64
 	stepper []Stepper
+	wake    []Cycle // per stepper: skipped while wake[i] > now
 
 	// buckets[c & (ringSize-1)] holds the events for cycle c, for every c
 	// in [now, now+ringSize). Bucket order is insertion order: far events
@@ -139,10 +146,13 @@ type shardCtx struct {
 	keySlab []EvKey
 }
 
-// Stepper is a component clocked every cycle, in registration order.
+// Stepper is a component clocked by the cycle, in registration order.
 type Stepper interface {
 	Step(now Cycle)
 }
+
+// Never is the wake cycle of a stepper that sleeps until it is woken.
+const Never = Cycle(math.MaxInt64)
 
 // NewEngine returns an engine at cycle 0 with no pending events. Every
 // calendar bucket starts with a small capacity carved from one shared
@@ -161,25 +171,38 @@ func NewEngine() *Engine {
 // Now returns the current cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Register adds a per-cycle stepper. Steppers run before same-cycle
-// events, in registration order. In sharded mode the stepper's global
-// pid defaults to its registration index; use RegisterPID when shard
-// registration order differs from global pid order.
-func (e *Engine) Register(s Stepper) {
-	e.stepper = append(e.stepper, s)
-	if e.sh != nil {
-		e.sh.stepperPID = append(e.sh.stepperPID, int32(len(e.stepper)-1))
-	}
+// Register adds an awake stepper and returns its index, the handle for
+// Sleep and Wake. Steppers run before same-cycle events, in
+// registration order. In sharded mode the stepper's global pid defaults
+// to its registration index; use RegisterPID when shard registration
+// order differs from global pid order.
+func (e *Engine) Register(s Stepper) int {
+	return e.RegisterPID(s, len(e.stepper))
 }
 
-// RegisterPID adds a per-cycle stepper carrying its global pid, which
+// RegisterPID is Register for a stepper carrying its global pid, which
 // post-site keys and capture positions use so that the global stepper
 // order is the serial machine's pid order regardless of sharding.
 // Steppers must be registered in ascending pid order within a shard.
-func (e *Engine) RegisterPID(s Stepper, pid int) {
+func (e *Engine) RegisterPID(s Stepper, pid int) int {
 	e.stepper = append(e.stepper, s)
+	e.wake = append(e.wake, 0)
 	if e.sh != nil {
 		e.sh.stepperPID = append(e.sh.stepperPID, int32(pid))
+	}
+	return len(e.stepper) - 1
+}
+
+// Sleep skips stepper i on every cycle before at (Never: until Wake).
+func (e *Engine) Sleep(i int, at Cycle) { e.wake[i] = at }
+
+// Wake ends stepper i's sleep at the current cycle. Called from a
+// stepper during the stepper phase, it steps i later in the same cycle
+// if i has not had its turn yet, and next cycle otherwise; called from
+// an event, it steps i next cycle.
+func (e *Engine) Wake(i int) {
+	if e.wake[i] > e.now {
+		e.wake[i] = e.now
 	}
 }
 
@@ -320,14 +343,18 @@ func (e *Engine) migrate() {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.pending }
 
-// Tick advances the clock one cycle: all steppers step, then every event
-// scheduled at (or before) the new current cycle runs in order.
+// Tick advances the clock one cycle: every awake stepper steps, then
+// every event scheduled at (or before) the new current cycle runs in
+// order.
 func (e *Engine) Tick() {
 	// The cycle now+ringSize-1 enters the horizon this tick: migrate any
 	// spilled events for it before steppers can post near events.
 	e.migrate()
 
-	for _, s := range e.stepper {
+	for i, s := range e.stepper {
+		if e.wake[i] > e.now {
+			continue
+		}
 		s.Step(e.now)
 	}
 
@@ -352,6 +379,9 @@ func (e *Engine) tickShard() {
 
 	sh.phase = phaseStepper
 	for i, s := range e.stepper {
+		if e.wake[i] > e.now {
+			continue
+		}
 		sh.curPID = sh.stepperPID[i]
 		sh.opIdx = 0
 		s.Step(e.now)

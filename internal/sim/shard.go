@@ -167,8 +167,8 @@ func (s *shardRunner) runWindow(g *ShardGroup, end Cycle) {
 		// and those happen at window barriers (flushOutboxes resets
 		// quietSince): with no pending events every remaining tick is a
 		// no-op — the only steppers are cores, and a locally-quiet
-		// shard's cores are all done, whose Step returns immediately.
-		// Skip straight to the window edge.
+		// shard's cores are all done and asleep. Skip straight to the
+		// window edge.
 		if s.quietSince >= 0 && e.pending == 0 {
 			e.now = end
 			break
