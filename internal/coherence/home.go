@@ -84,7 +84,7 @@ type home struct {
 	port *tilePort // this tile's execution context (see tilePort)
 	id   noc.NodeID
 
-	ids      map[cache.Line]int32
+	ids      sim.Index // line -> index into lines (see L1.ids)
 	lines    []*homeLine
 	lineSlab []homeLine // backing store new slots are carved from
 	// One-entry slot cache (see L1.lastSlot).
@@ -109,7 +109,6 @@ func newHome(sys *System, id noc.NodeID) *home {
 		sys:  sys,
 		port: &sys.ports[id],
 		id:   id,
-		ids:  make(map[cache.Line]int32),
 		l2:   cache.New(sys.cfg.L2),
 	}
 }
@@ -122,7 +121,7 @@ func (h *home) slot(l cache.Line) *homeLine {
 		return h.lastSlot
 	}
 	var s *homeLine
-	if id, ok := h.ids[l]; ok {
+	if id, added := h.ids.Intern(uint64(l)); !added {
 		s = h.lines[id]
 	} else {
 		if len(h.lineSlab) == 0 {
@@ -132,7 +131,6 @@ func (h *home) slot(l cache.Line) *homeLine {
 		h.lineSlab = h.lineSlab[1:]
 		s.l = l
 		s.st.owner = -1
-		h.ids[l] = int32(len(h.lines))
 		h.lines = append(h.lines, s)
 	}
 	h.lastLine, h.lastSlot = l, s
@@ -144,7 +142,7 @@ func (h *home) peek(l cache.Line) *homeLine {
 	if h.lastSlot != nil && h.lastLine == l {
 		return h.lastSlot
 	}
-	if id, ok := h.ids[l]; ok {
+	if id, ok := h.ids.Get(uint64(l)); ok {
 		return h.lines[id]
 	}
 	return nil

@@ -223,7 +223,7 @@ type L1 struct {
 
 	// ids interns a per-L1 line ID at first touch; lines is the dense
 	// table those IDs index. Pointers keep slots stable across growth.
-	ids      map[cache.Line]int32
+	ids      sim.Index
 	lines    []*l1Line
 	lineSlab []l1Line // backing store new slots are carved from
 	// One-entry slot cache: consecutive accesses usually hit the same
@@ -260,7 +260,6 @@ func newL1(sys *System, id noc.NodeID) *L1 {
 		port: &sys.ports[id],
 		id:   id,
 		arr:  cache.New(sys.cfg.L1),
-		ids:  make(map[cache.Line]int32),
 	}
 }
 
@@ -274,7 +273,7 @@ func (c *L1) slot(l cache.Line) *l1Line {
 		return c.lastSlot
 	}
 	var s *l1Line
-	if id, ok := c.ids[l]; ok {
+	if id, added := c.ids.Intern(uint64(l)); !added {
 		s = c.lines[id]
 	} else {
 		if len(c.lineSlab) == 0 {
@@ -283,7 +282,6 @@ func (c *L1) slot(l cache.Line) *l1Line {
 		s = &c.lineSlab[0]
 		c.lineSlab = c.lineSlab[1:]
 		s.l = l
-		c.ids[l] = int32(len(c.lines))
 		c.lines = append(c.lines, s)
 	}
 	c.lastLine, c.lastSlot = l, s
@@ -295,7 +293,7 @@ func (c *L1) peek(l cache.Line) *l1Line {
 	if c.lastSlot != nil && c.lastLine == l {
 		return c.lastSlot
 	}
-	if id, ok := c.ids[l]; ok {
+	if id, ok := c.ids.Get(uint64(l)); ok {
 		return c.lines[id]
 	}
 	return nil

@@ -126,7 +126,6 @@ func Record(w *trace.Workload, opts Options, modes ...record.Mode) (*RunResult, 
 		recs[i] = record.NewRecorder(rcfg, m.Clock(), m.Stats)
 	}
 	fo.recs = recs
-	fo.snaps = make(map[int64][]coherence.SrcSnap)
 
 	limit := opts.MaxCycles
 	if limit <= 0 {
@@ -302,12 +301,31 @@ func LogOverhead(karma, other *Recording) float64 {
 // fanout multiplexes machine events to several recorders. Each recorder
 // has its own chunk numbering and timestamps, so source snapshots (which
 // travel inside coherence messages) are captured per recorder at send
-// time, parked in a table, and re-split at delivery. Snapshot ids are
-// used exactly once: SnapshotSource is called once per dependence.
+// time, parked in a table under a fanout-wide id, and re-split at
+// delivery. One id can be delivered many times (see OnDependence), so
+// every entry is kept for the run.
 type fanout struct {
-	recs   []*record.Recorder
-	snaps  map[int64][]coherence.SrcSnap
+	recs []*record.Recorder
+	// snaps holds the entries of ids 1..nextID in blocks of snapBlock
+	// ids, len(recs) entries per id (see snapsOf). Blocks are never
+	// moved, so the table grows without copying.
+	snaps  [][]coherence.SrcSnap
 	nextID int64
+}
+
+// snapBlock is the number of snapshot ids one block of fanout.snaps
+// holds.
+const snapBlock = 1024
+
+// snapsOf returns the per-recorder entries of snapshot id, allocating
+// its block when id is the first of a new one. Ids are 1-based.
+func (f *fanout) snapsOf(id int64) []coherence.SrcSnap {
+	n := len(f.recs)
+	b, off := (id-1)/snapBlock, int((id-1)%snapBlock)*n
+	if b == int64(len(f.snaps)) {
+		f.snaps = append(f.snaps, make([]coherence.SrcSnap, snapBlock*n))
+	}
+	return f.snaps[b][off : off+n]
 }
 
 var _ machine.Observer = (*fanout)(nil)
@@ -349,7 +367,10 @@ func (f *fanout) OnIdle(pid int, cycles int64) {
 }
 
 func (f *fanout) SnapshotSource(pid int, sn coherence.SN) coherence.SrcSnap {
-	all := make([]coherence.SrcSnap, len(f.recs))
+	// Fill the next id's entries in place; they are issued only if some
+	// recorder's snapshot is valid, and overwritten by the next call if
+	// not.
+	all := f.snapsOf(f.nextID + 1)
 	valid := false
 	for i, r := range f.recs {
 		all[i] = r.SnapshotSource(pid, sn)
@@ -359,22 +380,20 @@ func (f *fanout) SnapshotSource(pid int, sn coherence.SN) coherence.SrcSnap {
 		return coherence.SrcSnap{}
 	}
 	f.nextID++
-	f.snaps[f.nextID] = all
 	return coherence.SrcSnap{Valid: true, PID: pid, CID: f.nextID}
 }
 
 func (f *fanout) OnDependence(d coherence.Dependence) {
 	// A snapshot can be used by several deliveries (every store of a
-	// miss epoch, every later cache hit on the line), so entries are
-	// kept for the lifetime of the run.
-	all, ok := f.snaps[d.Snap.CID]
-	if !ok {
+	// miss epoch, every later cache hit on the line). An id never
+	// issued (0 for an invalid snapshot) is dropped.
+	if d.Snap.CID < 1 || d.Snap.CID > f.nextID {
 		return
 	}
+	all := f.snapsOf(d.Snap.CID)
 	for i, r := range f.recs {
-		d2 := d
-		d2.Snap = all[i]
-		r.OnDependence(d2)
+		d.Snap = all[i]
+		r.OnDependence(d)
 	}
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
+	"pacifier/internal/machine"
 	"pacifier/internal/record"
 	"pacifier/internal/relog"
+	"pacifier/internal/sim"
 	"pacifier/internal/trace"
 )
 
@@ -275,19 +278,83 @@ func TestLHBWatermarkModest(t *testing.T) {
 	}
 }
 
-func TestMultiRecorderMatchesSolo(t *testing.T) {
-	// Recording Granule alone must give the same log as recording it
-	// alongside Karma (the fanout must not perturb anything).
-	w := trace.StoreBuffering()
-	solo := recordOne(t, w, 9, record.ModeGranule)
-	multi := recordOne(t, w, 9, record.ModeKarma, record.ModeGranule)
-	a := solo.Recording(record.ModeGranule).LogStats
-	b := multi.Recording(record.ModeGranule).LogStats
-	if a != b {
-		t.Fatalf("fanout perturbed recording: %+v vs %+v", a, b)
+// directRecorder attaches one recorder to the machine with no fanout in
+// between: the reference TestMultiRecorderMatchesSolo compares against.
+// The recorder is bound after machine.New, which it needs for the clock.
+type directRecorder struct{ *record.Recorder }
+
+// recordDirect records w under mode with the recorder as the machine's
+// observer, configured as Record configures it, and returns the
+// encoded log and the native cycle count.
+func recordDirect(t *testing.T, w *trace.Workload, opts Options, mode record.Mode) ([]byte, sim.Cycle) {
+	t.Helper()
+	n := len(w.Threads)
+	mcfg := machine.DefaultConfig(n)
+	mcfg.Seed = opts.Seed
+	mcfg.Mem.Atomic = opts.Atomic
+	obs := &directRecorder{}
+	m, err := machine.New(mcfg, w, obs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if solo.NativeCycles != multi.NativeCycles {
-		t.Fatalf("fanout perturbed execution: %d vs %d cycles", solo.NativeCycles, multi.NativeCycles)
+	rcfg := record.DefaultConfig(n, mode)
+	rcfg.MaxChunkOps = opts.MaxChunkOps
+	obs.Recorder = record.NewRecorder(rcfg, m.Clock(), m.Stats)
+	if err := m.Run(opts.MaxCycles); err != nil {
+		t.Fatal(err)
+	}
+	return relog.EncodeLog(obs.Finish()), m.Cycles()
+}
+
+func TestMultiRecorderMatchesSolo(t *testing.T) {
+	// Recording a mode through the fanout, alone or alongside others,
+	// must give byte for byte the log its recorder gives attached to the
+	// machine directly: the fanout's snapshot ids and table must perturb
+	// neither the execution nor any recorder. With karma+vol+gra together
+	// the inputs issue 2 (SB), 2617 (radiosity) and 2607 (ocean) fanout
+	// snapshot ids, so the two trace inputs fill three blocks of the
+	// snapshot table each.
+	radiosity, _ := trace.ProfileByName("radiosity")
+	ocean, _ := trace.ProfileByName("ocean")
+	cases := []struct {
+		name   string
+		w      *trace.Workload
+		seed   uint64
+		atomic bool
+	}{
+		{"sb", trace.StoreBuffering(), 9, true},
+		{"radiosity-16p-2k-nonatomic", radiosity.Generate(16, 2000, 1), 1, false},
+		{"ocean-16p-4k-atomic", ocean.Generate(16, 4000, 5), 5, true},
+	}
+	modes := []record.Mode{record.ModeKarma, record.ModeVolition, record.ModeGranule}
+	for _, c := range cases {
+		opts := DefaultOptions()
+		opts.Seed = c.seed
+		opts.Atomic = c.atomic
+		multi, err := Record(c.w, opts, modes...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, mode := range modes {
+			solo, err := Record(c.w, opts, mode)
+			if err != nil {
+				t.Fatalf("%s %v: %v", c.name, mode, err)
+			}
+			want, cycles := recordDirect(t, c.w, opts, mode)
+			for _, got := range []struct {
+				how string
+				rr  *RunResult
+			}{{"alone", solo}, {"together", multi}} {
+				if got.rr.NativeCycles != cycles {
+					t.Fatalf("%s %v %s: fanout perturbed execution: %d cycles, %d direct",
+						c.name, mode, got.how, got.rr.NativeCycles, cycles)
+				}
+				if b := relog.EncodeLog(got.rr.Recording(mode).Log); !bytes.Equal(b, want) {
+					t.Fatalf("%s %v %s: fanout perturbed the log: %d bytes, %d direct",
+						c.name, mode, got.how, len(b), len(want))
+				}
+			}
+		}
 	}
 }
 

@@ -119,7 +119,11 @@ type Core struct {
 	pendAcq []SN
 
 	// forwarding: per word address, values of stores still buffered.
-	fwd     map[coherence.Addr][]fwdEntry
+	// fwdIDs interns each address stored to; fwd[id] is its list, kept
+	// (possibly empty) once created: the same addresses recur, and
+	// retained capacity makes the next append to a word free.
+	fwdIDs  sim.Index
+	fwd     [][]fwdEntry
 	fwdSlab []fwdEntry // backing store per-address forward lists carve from
 
 	// Pre-bound completion callbacks handed to the L1 (one closure each
@@ -202,7 +206,6 @@ func NewCore(pid int, cfg Config, eng *sim.Engine, l1 *coherence.L1,
 		prog: prog,
 		win:  make([]inst, cfg.Window),
 		sb:   make([]sbEntry, cfg.SBSize),
-		fwd:  make(map[coherence.Addr][]fwdEntry),
 		recs: make([]ExecRecord, 0, nops),
 
 		sbFullAt: -1,
@@ -351,17 +354,17 @@ func (c *Core) dispatch(now sim.Cycle) bool {
 			// value for store-to-load forwarding now.
 			v := StoreValue(c.pid, sn)
 			c.recs[sn-1].Value = v
-			list := c.fwd[op.Addr]
-			if cap(list) == 0 {
+			id, added := c.fwdIDs.Intern(uint64(op.Addr))
+			if added {
 				// First store to this word: carve a small array from the
 				// slab rather than allocating per address.
 				if len(c.fwdSlab) < 4 {
 					c.fwdSlab = make([]fwdEntry, 1024)
 				}
-				list = c.fwdSlab[:0:4]
+				c.fwd = append(c.fwd, c.fwdSlab[:0:4])
 				c.fwdSlab = c.fwdSlab[4:]
 			}
-			c.fwd[op.Addr] = append(list, fwdEntry{sn, v})
+			c.fwd[id] = append(c.fwd[id], fwdEntry{sn, v})
 		case trace.Release:
 			c.recs[sn-1].Value = 0 // release writes zero (unlock)
 		}
@@ -384,7 +387,8 @@ func (c *Core) tryIssueLoad(in *inst) {
 	}
 	// Store-to-load forwarding: youngest older buffered store to the
 	// same word wins.
-	if list := c.fwd[in.op.Addr]; len(list) > 0 {
+	if id, ok := c.fwdIDs.Get(uint64(in.op.Addr)); ok {
+		list := c.fwd[id]
 		var best *fwdEntry
 		for i := range list {
 			if list[i].sn < in.sn && (best == nil || list[i].sn > best.sn) {
@@ -633,16 +637,15 @@ func (c *Core) storeDone(sn SN) {
 
 func (c *Core) storeGloballyPerformed(addr coherence.Addr, sn SN) {
 	// Remove the forwarding entry: the value is now in the memory system.
-	list := c.fwd[addr]
-	for i := range list {
-		if list[i].sn == sn {
-			list = append(list[:i], list[i+1:]...)
-			break
+	if id, ok := c.fwdIDs.Get(uint64(addr)); ok {
+		list := c.fwd[id]
+		for i := range list {
+			if list[i].sn == sn {
+				c.fwd[id] = append(list[:i], list[i+1:]...)
+				break
+			}
 		}
 	}
-	// Keep the (possibly empty) slice resident: the same addresses recur,
-	// and retaining capacity makes the next append to this word free.
-	c.fwd[addr] = list
 	c.obs.OnPerformed(c.pid, sn)
 }
 

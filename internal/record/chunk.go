@@ -78,7 +78,7 @@ type coreState struct {
 	mrps   SN
 	cc     *chunkState
 	lhb    []*chunkState // closed, not yet emitted (FIFO)
-	meta   []chunkMeta   // every closed chunk ever (sorted by startSN)
+	meta   []chunkMeta   // every closed chunk ever, indexed by CID (so in SN order)
 	staged map[SN]*stagedDelayed
 	// preCarrier pre-commits the carrier chunk for a store that serves
 	// as a dependence source while it could still be delayed (any store
@@ -148,14 +148,14 @@ func (r *Recorder) chunkStateOf(cs *coreState, sn SN) *chunkState {
 	return nil
 }
 
-// metaByCID finds closed-chunk metadata by chunk id (CIDs are monotone
-// per core, so binary search applies).
+// metaByCID finds closed-chunk metadata by chunk id. A core numbers its
+// chunks densely from 0 and closes them in that order, so meta[cid] is
+// chunk cid once it has closed.
 func (r *Recorder) metaByCID(cs *coreState, cid int64) (chunkMeta, bool) {
-	i := sort.Search(len(cs.meta), func(i int) bool { return cs.meta[i].cid >= cid })
-	if i < len(cs.meta) && cs.meta[i].cid == cid {
-		return cs.meta[i], true
+	if cid < 0 || cid >= int64(len(cs.meta)) {
+		return chunkMeta{}, false
 	}
-	return chunkMeta{}, false
+	return cs.meta[cid], true
 }
 
 // metaOf finds the closed-chunk metadata containing sn.

@@ -10,8 +10,9 @@
 package record
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pacifier/internal/cache"
 	"pacifier/internal/coherence"
@@ -367,28 +368,31 @@ func (r *Recorder) emit(pid int, c *chunkState) {
 	if len(c.preds) > 0 {
 		out.Preds = append(make([]relog.ChunkRef, 0, len(c.preds)), c.preds...)
 	}
-	sort.Slice(out.Preds, func(i, j int) bool {
-		if out.Preds[i].PID != out.Preds[j].PID {
-			return out.Preds[i].PID < out.Preds[j].PID
-		}
-		return out.Preds[i].CID < out.Preds[j].CID
-	})
-	sort.Slice(out.DSet, func(i, j int) bool { return out.DSet[i].Offset < out.DSet[j].Offset })
+	slices.SortFunc(out.Preds, cmpChunkRef)
+	slices.SortFunc(out.DSet, func(a, b relog.DEntry) int { return cmp.Compare(a.Offset, b.Offset) })
 	// P_set entries execute in list order during replay: keep them in
 	// SN order of the delayed stores ((source CID, offset) lexicographic).
-	sort.Slice(out.PSet, func(i, j int) bool {
-		if out.PSet[i].SrcCID != out.PSet[j].SrcCID {
-			return out.PSet[i].SrcCID < out.PSet[j].SrcCID
+	slices.SortFunc(out.PSet, func(a, b relog.PEntry) int {
+		if a.SrcCID != b.SrcCID {
+			return cmp.Compare(a.SrcCID, b.SrcCID)
 		}
-		return out.PSet[i].Offset < out.PSet[j].Offset
+		return cmp.Compare(a.Offset, b.Offset)
 	})
-	sort.Slice(out.VLog, func(i, j int) bool { return out.VLog[i].Offset < out.VLog[j].Offset })
+	slices.SortFunc(out.VLog, func(a, b relog.VEntry) int { return cmp.Compare(a.Offset, b.Offset) })
 	r.log.Append(out)
 	// The emitted chunk retains dset/pset/vlog; the state struct and its
 	// preds backing array are free for reuse (no live pointer can reach
 	// an emitted chunkState — emission requires all of its instructions,
 	// and those of any staged store pinning it, to have left the PW).
 	r.chunkFree = append(r.chunkFree, c)
+}
+
+// cmpChunkRef orders chunk references by (PID, CID).
+func cmpChunkRef(a, b relog.ChunkRef) int {
+	if a.PID != b.PID {
+		return cmp.Compare(a.PID, b.PID)
+	}
+	return cmp.Compare(a.CID, b.CID)
 }
 
 // ---------------------------------------------------------------------
@@ -773,12 +777,7 @@ func (r *Recorder) finalizeDelayed(pid int, sn SN, e *pwEntry, st *stagedDelayed
 	for p := range st.preds {
 		preds = append(preds, p)
 	}
-	sort.Slice(preds, func(i, j int) bool {
-		if preds[i].PID != preds[j].PID {
-			return preds[i].PID < preds[j].PID
-		}
-		return preds[i].CID < preds[j].CID
-	})
+	slices.SortFunc(preds, cmpChunkRef)
 	if i, ok := ch.dindex[offset]; ok {
 		ch.dset[i].Pred = mergePreds(ch.dset[i].Pred, preds)
 		return

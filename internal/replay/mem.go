@@ -27,9 +27,12 @@ type page struct {
 // memory is the paged image plus a one-entry cache of the last page
 // touched: consecutive ops of a chunk mostly stay on one page.
 type memory struct {
-	pages   map[uint64]*page
-	lastKey uint64
-	last    *page
+	pages map[uint64]*page
+	// pageSlab is the backing store new pages are carved from: one
+	// allocation per 32 pages instead of one each.
+	pageSlab []page
+	lastKey  uint64
+	last     *page
 }
 
 func newMemory() memory { return memory{pages: make(map[uint64]*page)} }
@@ -59,7 +62,11 @@ func (m *memory) store(a coherence.Addr, v uint64) {
 	key := uint64(a) >> pageShift
 	p := m.lookup(key)
 	if p == nil {
-		p = &page{}
+		if len(m.pageSlab) == 0 {
+			m.pageSlab = make([]page, 32)
+		}
+		p = &m.pageSlab[0]
+		m.pageSlab = m.pageSlab[1:]
 		m.pages[key] = p
 		m.lastKey, m.last = key, p
 	}
