@@ -190,8 +190,7 @@ func NewCore(pid int, cfg Config, eng *sim.Engine, l1 *coherence.L1,
 	}
 	nops := 0
 	for _, op := range prog {
-		switch op.Kind {
-		case trace.Read, trace.Write, trace.Acquire, trace.Release:
+		if op.Kind.IsMem() {
 			nops++
 		}
 	}

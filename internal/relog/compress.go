@@ -201,10 +201,14 @@ func decompressBlock(d *decoder, out []byte, blockRaw, encLen int) []byte {
 			d.fail("match distance %d outside the %d block bytes produced", dist, produced)
 			break
 		}
-		// Byte-wise copy: overlapping matches (dist < n) replicate.
+		// Copy in blocks of at most dist bytes, so each block's source is
+		// already produced. An overlapping match (dist < n) is periodic
+		// with period dist, so this equals the byte-wise copy.
 		from := len(out) - int(dist)
-		for k := 0; k < n; k++ {
-			out = append(out, out[from+k])
+		for k := 0; k < n; {
+			step := min(n-k, int(dist))
+			out = append(out, out[from+k:from+k+step]...)
+			k += step
 		}
 	}
 	if d.err == nil && len(out)-blockStart != blockRaw {

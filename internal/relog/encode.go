@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The wire format is specified in DESIGN.md ("Log wire format and
@@ -31,38 +32,35 @@ const (
 	maxSN = int64(1) << 62
 )
 
-func putUvarint(buf []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
+func putUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
 
-func putVarint(buf []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
+func putVarint(buf []byte, v int64) []byte { return binary.AppendVarint(buf, v) }
 
-func put64(buf []byte, v uint64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	return append(buf, tmp[:]...)
-}
+func put64(buf []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(buf, v) }
+
+// uvarintLen is the length of putUvarint's encoding of v.
+func uvarintLen(v uint64) int64 { return int64(bits.Len64(v|1)+6) / 7 }
+
+// varintLen is the length of putVarint's (zigzag) encoding of v.
+func varintLen(v int64) int64 { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // EncodeChunk serializes one chunk given the previous chunk's TS and CID
 // on the same core (for delta encoding).
 func EncodeChunk(c *Chunk, prevTS, prevCID int64) []byte {
-	var b []byte
+	b := make([]byte, 0, baseSize(c, prevTS)+setsSize(c, prevCID))
 	b = encodeBase(b, c, prevTS)
-	b = encodeSets(b, c, prevCID)
-	return b
+	return encodeSets(b, c, prevCID)
 }
 
 func encodeBase(b []byte, c *Chunk, prevTS int64) []byte {
 	b = putUvarint(b, uint64(c.Size()))
 	b = putVarint(b, c.TS-prevTS)
-	b = putUvarint(b, uint64(len(c.Preds)))
-	for _, p := range c.Preds {
+	return encodeRefs(b, c.Preds)
+}
+
+func encodeRefs(b []byte, refs []ChunkRef) []byte {
+	b = putUvarint(b, uint64(len(refs)))
+	for _, p := range refs {
 		b = putUvarint(b, uint64(p.PID))
 		b = putVarint(b, p.CID)
 	}
@@ -81,11 +79,7 @@ func encodeSets(b []byte, c *Chunk, prevCID int64) []byte {
 		if d.IsLoad {
 			b = put64(b, d.Value)
 		}
-		b = putUvarint(b, uint64(len(d.Pred)))
-		for _, p := range d.Pred {
-			b = putUvarint(b, uint64(p.PID))
-			b = putVarint(b, p.CID)
-		}
+		b = encodeRefs(b, d.Pred)
 	}
 	b = putUvarint(b, uint64(len(c.PSet)))
 	for _, p := range c.PSet {
@@ -101,16 +95,49 @@ func encodeSets(b []byte, c *Chunk, prevCID int64) []byte {
 	return b
 }
 
-// encodedSizes returns the Karma-equivalent and full byte counts.
-func encodedSizes(c *Chunk, prevTS, prevCID int64) (base, full int64) {
-	bb := encodeBase(nil, c, prevTS)
-	// Karma also pays the three empty-section counters (one byte each).
-	base = int64(len(bb)) + 3
-	full = int64(len(encodeSets(bb, c, prevCID)))
-	return base, full
+// baseSize, refsSize and setsSize are the lengths of encodeBase's,
+// encodeRefs' and encodeSets' output, computed without encoding.
+func baseSize(c *Chunk, prevTS int64) int64 {
+	return uvarintLen(uint64(c.Size())) + varintLen(c.TS-prevTS) + refsSize(c.Preds)
 }
 
-// decoder reads the wire format back.
+func refsSize(refs []ChunkRef) int64 {
+	n := uvarintLen(uint64(len(refs)))
+	for _, p := range refs {
+		n += uvarintLen(uint64(p.PID)) + varintLen(p.CID)
+	}
+	return n
+}
+
+func setsSize(c *Chunk, prevCID int64) int64 {
+	n := uvarintLen(uint64(len(c.DSet)))
+	for _, d := range c.DSet {
+		n += uvarintLen(uint64(d.Offset)) + 1 + refsSize(d.Pred)
+		if d.IsLoad {
+			n += 8
+		}
+	}
+	n += uvarintLen(uint64(len(c.PSet)))
+	for _, p := range c.PSet {
+		n += varintLen(prevCID-p.SrcCID) + uvarintLen(uint64(p.Offset))
+	}
+	n += uvarintLen(uint64(len(c.VLog)))
+	for _, v := range c.VLog {
+		n += uvarintLen(uint64(v.Offset)) + 8
+	}
+	return n
+}
+
+// encodedSizes returns the Karma-equivalent and full byte counts.
+func encodedSizes(c *Chunk, prevTS, prevCID int64) (base, full int64) {
+	b := baseSize(c, prevTS)
+	// Karma also pays the three empty-section counters (one byte each).
+	return b + 3, b + setsSize(c, prevCID)
+}
+
+// decoder reads the wire format back. One decoder reads a whole log:
+// each chunk body is decoded in place by pointing b at its bounded
+// sub-slice, so positions inside a body are chunk-relative.
 type decoder struct {
 	b   []byte
 	pos int
@@ -124,30 +151,43 @@ func (d *decoder) fail(format string, args ...any) {
 	}
 }
 
+// next reads one uvarint, false when the input holds no complete one.
+// Most fields fit one byte, so those skip binary.Uvarint.
+func (d *decoder) next() (uint64, bool) {
+	b := d.b[d.pos:]
+	if len(b) > 0 && b[0] < 0x80 {
+		d.pos++
+		return uint64(b[0]), true
+	}
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, false
+	}
+	d.pos += n
+	return v, true
+}
+
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b[d.pos:])
-	if n <= 0 {
+	v, ok := d.next()
+	if !ok {
 		d.fail("truncated uvarint")
-		return 0
 	}
-	d.pos += n
 	return v
 }
 
+// varint reads a zigzag varint, as binary.Varint does.
 func (d *decoder) varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.b[d.pos:])
-	if n <= 0 {
+	ux, ok := d.next()
+	if !ok {
 		d.fail("truncated varint")
-		return 0
 	}
-	d.pos += n
-	return v
+	return int64(ux>>1) ^ -int64(ux&1)
 }
 
 func (d *decoder) byte() byte {
@@ -214,51 +254,111 @@ func (d *decoder) pid() int {
 	return int(v)
 }
 
+// slab hands out capacity-capped runs of T carved from shared backing
+// blocks, so an append to one run reallocates instead of writing into
+// the next.
+type slab[T any] struct {
+	free  []T // unused tail of the current block
+	block int // length of the current block
+	taken int // elements handed out so far
+}
+
+// slabFirst is the least length of a slab's first block.
+const slabFirst = 16
+
+// arena is the backing store of one decoded log: its chunks and every
+// entry slice of them are carved from these slabs. done and left are
+// the log bytes before and after the chunk being decoded.
+type arena struct {
+	chunks     slab[Chunk]
+	refs       slab[ChunkRef]
+	dset       slab[DEntry]
+	pset       slab[PEntry]
+	vlog       slab[VEntry]
+	done, left int
+}
+
+// take returns the next n elements of s, nil when n is 0. A block is
+// allocated only when a run does not fit the current one. It is at
+// least n long, and otherwise at most doubles the last block and is no
+// longer than the projected need: the elements taken per log byte so
+// far, times the bytes left. So allocation follows the decoded bytes:
+// never more than doubling would allocate, and never more than one
+// block per run. On an evenly dense log a decode makes O(log n)
+// allocations and its last block ends near the need.
+func take[T any](a *arena, s *slab[T], n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(s.free) {
+		size := n
+		if a.done > 0 {
+			need := int(float64(s.taken) * float64(a.left) / float64(a.done))
+			size = max(n, min(max(2*s.block, slabFirst), need))
+		}
+		s.free, s.block = make([]T, size), size
+	}
+	run := s.free[:n:n]
+	s.free = s.free[n:]
+	s.taken += n
+	return run
+}
+
+// chunk decodes one chunk body, which runs from d.pos to the end of
+// d.b, into c. The caller sets c.PID, c.CID and c.StartSN. Every count
+// is read and bounded by the remaining bytes before its run is carved.
+func (d *decoder) chunk(a *arena, c *Chunk, prevTS, prevCID int64) {
+	size := d.uvarint()
+	if d.err == nil && (int64(c.StartSN) < 1 ||
+		size > maxChunkSize || int64(size) > maxSN-int64(c.StartSN)) {
+		d.fail("chunk size %d out of range at start SN %d", size, int64(c.StartSN))
+	}
+	if d.err != nil {
+		return
+	}
+	c.EndSN = c.StartSN + SN(size) - 1
+	c.TS = prevTS + d.varint()
+	c.Preds = d.refs(a, "pred count")
+	c.DSet = take(a, &a.dset, d.count("D_set count", 3))
+	for i := 0; i < len(c.DSet) && d.err == nil; i++ {
+		e := &c.DSet[i]
+		e.Offset = d.offset32()
+		e.IsLoad = d.byte()&1 != 0
+		if e.IsLoad {
+			e.Value = d.u64()
+		}
+		e.Pred = d.refs(a, "D_set pred count")
+	}
+	c.PSet = take(a, &a.pset, d.count("P_set count", 2))
+	for i := 0; i < len(c.PSet) && d.err == nil; i++ {
+		back := d.varint()
+		c.PSet[i] = PEntry{SrcCID: prevCID - back, Offset: d.offset32()}
+	}
+	c.VLog = take(a, &a.vlog, d.count("V_log count", 9))
+	for i := 0; i < len(c.VLog) && d.err == nil; i++ {
+		c.VLog[i] = VEntry{Offset: d.offset32(), Value: d.u64()}
+	}
+}
+
+// refs reads a counted ChunkRef list into a run carved from a.refs.
+func (d *decoder) refs(a *arena, what string) []ChunkRef {
+	rs := take(a, &a.refs, d.count(what, 2))
+	for i := 0; i < len(rs) && d.err == nil; i++ {
+		rs[i] = ChunkRef{PID: d.pid(), CID: d.varint()}
+	}
+	return rs
+}
+
 // DecodeChunk parses one chunk, given the same context used to encode.
 // startSN is derived from the previous chunk's EndSN and must be in
 // [1, maxSN]. The input is untrusted: any malformed byte sequence
 // yields a *CorruptError (wrapping ErrCorrupt), never a panic, and
 // allocation stays proportional to len(b).
 func DecodeChunk(b []byte, pid int, cid int64, prevTS, prevCID int64, startSN SN) (*Chunk, int, error) {
-	d := &decoder{b: b}
+	d := decoder{b: b}
+	var a arena
 	c := &Chunk{PID: pid, CID: cid, StartSN: startSN}
-	size := d.uvarint()
-	if d.err == nil && (int64(startSN) < 1 ||
-		size > maxChunkSize || int64(size) > maxSN-int64(startSN)) {
-		d.fail("chunk size %d out of range at start SN %d", size, int64(startSN))
-	}
-	if d.err != nil {
-		return nil, d.pos, d.err
-	}
-	c.EndSN = startSN + SN(size) - 1
-	c.TS = prevTS + d.varint()
-	np := d.count("pred count", 2)
-	for i := 0; i < np && d.err == nil; i++ {
-		c.Preds = append(c.Preds, ChunkRef{PID: d.pid(), CID: d.varint()})
-	}
-	nd := d.count("D_set count", 3)
-	for i := 0; i < nd && d.err == nil; i++ {
-		var e DEntry
-		e.Offset = d.offset32()
-		e.IsLoad = d.byte()&1 != 0
-		if e.IsLoad {
-			e.Value = d.u64()
-		}
-		npred := d.count("D_set pred count", 2)
-		for j := 0; j < npred && d.err == nil; j++ {
-			e.Pred = append(e.Pred, ChunkRef{PID: d.pid(), CID: d.varint()})
-		}
-		c.DSet = append(c.DSet, e)
-	}
-	ns := d.count("P_set count", 2)
-	for i := 0; i < ns && d.err == nil; i++ {
-		back := d.varint()
-		c.PSet = append(c.PSet, PEntry{SrcCID: prevCID - back, Offset: d.offset32()})
-	}
-	nv := d.count("V_log count", 9)
-	for i := 0; i < nv && d.err == nil; i++ {
-		c.VLog = append(c.VLog, VEntry{Offset: d.offset32(), Value: d.u64()})
-	}
+	d.chunk(&a, c, prevTS, prevCID)
 	if d.err != nil {
 		return nil, d.pos, d.err
 	}
@@ -268,16 +368,30 @@ func DecodeChunk(b []byte, pid int, cid int64, prevTS, prevCID int64, startSN SN
 // EncodeLog serializes a complete log (length-prefixed per-core chunk
 // streams). Used by the CLI to persist recordings.
 func EncodeLog(l *Log) []byte {
-	var b []byte
+	// Size the output first so every chunk encodes straight into one
+	// buffer behind its length prefix.
+	n := uvarintLen(uint64(l.Cores))
+	for pid := 0; pid < l.Cores; pid++ {
+		seq := l.PerCore[pid]
+		n += uvarintLen(uint64(len(seq)))
+		var prevTS, prevCID int64
+		for _, c := range seq {
+			_, full := encodedSizes(c, prevTS, prevCID)
+			n += uvarintLen(uint64(full)) + full
+			prevTS, prevCID = c.TS, c.CID
+		}
+	}
+	b := make([]byte, 0, n)
 	b = putUvarint(b, uint64(l.Cores))
 	for pid := 0; pid < l.Cores; pid++ {
 		seq := l.PerCore[pid]
 		b = putUvarint(b, uint64(len(seq)))
 		var prevTS, prevCID int64
 		for _, c := range seq {
-			cb := EncodeChunk(c, prevTS, prevCID)
-			b = putUvarint(b, uint64(len(cb)))
-			b = append(b, cb...)
+			_, full := encodedSizes(c, prevTS, prevCID)
+			b = putUvarint(b, uint64(full))
+			b = encodeBase(b, c, prevTS)
+			b = encodeSets(b, c, prevCID)
 			prevTS, prevCID = c.TS, c.CID
 		}
 	}
@@ -290,8 +404,12 @@ func EncodeLog(l *Log) []byte {
 // ErrCorrupt), never a panic, with allocation proportional to len(b).
 // DecodeLog checks only wire-level well-formedness; call Validate on
 // the result to check the recorder's semantic invariants.
+//
+// It decodes in one pass: the chunks and their entry slices are carved
+// from one arena whose blocks grow as chunks are decoded, and every
+// slice handed out is capacity-capped.
 func DecodeLog(b []byte) (*Log, error) {
-	d := &decoder{b: b}
+	d := decoder{b: b}
 	cores := d.uvarint()
 	if d.err != nil {
 		return nil, d.err
@@ -301,10 +419,13 @@ func DecodeLog(b []byte) (*Log, error) {
 	}
 	n := int(cores)
 	l := NewLog(n)
+	var a arena
+	var all []*Chunk // every core's chunks, in core order
 	for pid := 0; pid < n; pid++ {
 		// A chunk record is at least 7 bytes: a length prefix plus a
 		// minimal body (size, ts delta, four zero counts).
 		cnt := d.count("chunk count", 7)
+		first := len(all)
 		var prevTS, prevCID int64
 		startSN := SN(1)
 		for i := 0; i < cnt && d.err == nil; i++ {
@@ -316,25 +437,44 @@ func DecodeLog(b []byte) (*Log, error) {
 				d.fail("chunk of %d bytes on core %d exceeds the remaining input", ln, pid)
 				break
 			}
-			c, used, err := DecodeChunk(d.b[d.pos:d.pos+int(ln)], pid, int64(i), prevTS, prevCID, startSN)
-			if err != nil {
-				return nil, &CorruptError{Pos: d.pos, What: fmt.Sprintf("core %d chunk %d: %v", pid, i, err)}
+			c := &take(&a, &a.chunks, 1)[0]
+			c.PID, c.CID, c.StartSN = pid, int64(i), startSN
+			body, end := d.pos, d.pos+int(ln)
+			a.done, a.left = body, len(b)-body
+			d.b, d.pos = b[body:end], 0
+			d.chunk(&a, c, prevTS, prevCID)
+			if d.err != nil {
+				return nil, &CorruptError{Pos: body, What: fmt.Sprintf("core %d chunk %d: %v", pid, i, d.err)}
 			}
-			if used != int(ln) {
-				return nil, &CorruptError{Pos: d.pos,
-					What: fmt.Sprintf("core %d chunk %d: length prefix says %d bytes, body used %d", pid, i, ln, used)}
+			if d.pos != int(ln) {
+				return nil, &CorruptError{Pos: body,
+					What: fmt.Sprintf("core %d chunk %d: length prefix says %d bytes, body used %d", pid, i, ln, d.pos)}
 			}
-			d.pos += used
+			d.b, d.pos = b, end
 			prevTS, prevCID = c.TS, c.CID
 			startSN = c.EndSN + 1
-			l.Append(c)
+			all = append(all, c)
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
+		if len(all) > first {
+			l.PerCore[pid] = all[first:] // re-sliced below
+		}
 	}
 	if d.pos != len(d.b) {
 		return nil, &CorruptError{Pos: d.pos, What: fmt.Sprintf("%d trailing bytes", len(d.b)-d.pos)}
+	}
+	// Appends may have moved all since a core's run was sliced: re-slice
+	// each run, of the length it had, from the final array. A core with
+	// no chunks keeps a nil sequence, as in NewLog.
+	first := 0
+	for pid, seq := range l.PerCore {
+		if len(seq) > 0 {
+			end := first + len(seq)
+			l.PerCore[pid] = all[first:end:end]
+			first = end
+		}
 	}
 	return l, nil
 }

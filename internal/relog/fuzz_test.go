@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -81,7 +82,9 @@ func FuzzDecodeLog(f *testing.F) {
 }
 
 // FuzzRoundTrip asserts the fixed-point property: whenever arbitrary
-// bytes decode, encode∘decode∘encode is byte-identical.
+// bytes decode, encode∘decode∘encode is byte-identical. It also holds
+// the decoded chunks' slices apart: appending to one chunk's slices
+// must leave every other chunk's encoding unchanged (checkNoAliasing).
 func FuzzRoundTrip(f *testing.F) {
 	for _, seed := range logSeeds() {
 		f.Add(seed)
@@ -100,7 +103,83 @@ func FuzzRoundTrip(f *testing.F) {
 		if !bytes.Equal(e1, e2) {
 			t.Fatalf("encode∘decode∘encode not byte-identical: %d vs %d bytes", len(e1), len(e2))
 		}
+		checkNoAliasing(t, b)
 	})
+}
+
+// checkNoAliasing decodes b, which must decode, and appends one marker
+// element to every slice of every chunk: Preds, each decoded
+// DEntry.Pred, DSet, PSet and VLog. Each chunk must then encode exactly
+// as an independent copy of it with the same markers appended.
+//
+// This checks every single-chunk append at once. An append writes only
+// the element just past its slice, and decoded slices never overlap, so
+// no two appends write the same element. Markers differ from each other
+// and from every decodable value (PIDs at or above maxCores, negative
+// offsets), so an append that reached another slice's elements would
+// change that chunk's encoding.
+func checkNoAliasing(t testing.TB, b []byte) {
+	t.Helper()
+	l, err := DecodeLog(b)
+	if err != nil {
+		t.Fatalf("input does not decode: %v", err)
+	}
+	var want [][]byte
+	k := 0
+	for _, seq := range l.PerCore {
+		var prevTS, prevCID int64
+		for _, c := range seq {
+			cc := cloneChunk(c)
+			addMarkers(cc, k)
+			want = append(want, EncodeChunk(cc, prevTS, prevCID))
+			prevTS, prevCID = c.TS, c.CID
+			k++
+		}
+	}
+	k = 0
+	for _, seq := range l.PerCore {
+		for _, c := range seq {
+			addMarkers(c, k)
+			k++
+		}
+	}
+	k = 0
+	for pid, seq := range l.PerCore {
+		var prevTS, prevCID int64
+		for _, c := range seq {
+			if got := EncodeChunk(c, prevTS, prevCID); !bytes.Equal(got, want[k]) {
+				t.Fatalf("core %d chunk %d changed when chunks were appended to: a decoded slice shares its backing array", pid, c.CID)
+			}
+			prevTS, prevCID = c.TS, c.CID
+			k++
+		}
+	}
+}
+
+// cloneChunk deep-copies c into freshly allocated slices.
+func cloneChunk(c *Chunk) *Chunk {
+	cc := *c
+	cc.Preds = slices.Clone(c.Preds)
+	cc.DSet = slices.Clone(c.DSet)
+	for i := range cc.DSet {
+		cc.DSet[i].Pred = slices.Clone(c.DSet[i].Pred)
+	}
+	cc.PSet = slices.Clone(c.PSet)
+	cc.VLog = slices.Clone(c.VLog)
+	return &cc
+}
+
+// addMarkers appends chunk k's marker to each of c's slices.
+func addMarkers(c *Chunk, k int) {
+	m := ChunkRef{PID: maxCores + k, CID: int64(k)}
+	off := int32(-1 - k)
+	for i := range c.DSet {
+		c.DSet[i].Pred = append(c.DSet[i].Pred, m)
+	}
+	c.Preds = append(c.Preds, m)
+	c.DSet = append(c.DSet, DEntry{Offset: off})
+	c.PSet = append(c.PSet, PEntry{SrcCID: int64(k), Offset: off})
+	c.VLog = append(c.VLog, VEntry{Offset: off, Value: uint64(k)})
 }
 
 // logSeeds builds a handful of in-code corpus entries covering every

@@ -86,3 +86,19 @@ func TestReplayRejectsOverlongChunk(t *testing.T) {
 		t.Fatal("chunk past the end of the workload accepted")
 	}
 }
+
+func TestReplayRejectsThreadTooLongForOpIndex(t *testing.T) {
+	// The op index stores int32 positions; a thread it cannot address is
+	// rejected with a typed error before any table is built.
+	defer func(n int) { maxThreadOps = n }(maxThreadOps)
+	maxThreadOps = 5
+	_, err := NewStepper(synthLog(), synthWorkload(), nil, synthConfig())
+	var tl *ThreadTooLongError
+	if !errors.As(err, &tl) || tl.PID != 0 || tl.Ops != 6 {
+		t.Fatalf("6-op thread under a 5-op index limit: got %v, want *ThreadTooLongError for core 0", err)
+	}
+	maxThreadOps = 6
+	if _, err := NewStepper(synthLog(), synthWorkload(), nil, synthConfig()); err != nil {
+		t.Fatalf("6-op thread at a 6-op limit rejected: %v", err)
+	}
+}

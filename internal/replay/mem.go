@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"pacifier/internal/coherence"
+	"pacifier/internal/sim"
 )
 
 // The replayed memory image is word-addressed like the simulator's line
@@ -25,17 +26,19 @@ type page struct {
 }
 
 // memory is the paged image plus a one-entry cache of the last page
-// touched: consecutive ops of a chunk mostly stay on one page.
+// touched: consecutive ops of a chunk mostly stay on one page. The zero
+// memory is empty and ready to use.
 type memory struct {
-	pages map[uint64]*page
+	// keys interns page keys as dense ids in first-store order;
+	// pages[id] is the page keyed keys.Key(id).
+	keys  sim.Index
+	pages []*page
 	// pageSlab is the backing store new pages are carved from: one
 	// allocation per 32 pages instead of one each.
 	pageSlab []page
 	lastKey  uint64
 	last     *page
 }
-
-func newMemory() memory { return memory{pages: make(map[uint64]*page)} }
 
 func wordOf(a coherence.Addr) uint { return uint(a>>3) & (pageWords - 1) }
 
@@ -44,10 +47,12 @@ func (m *memory) lookup(key uint64) *page {
 	if m.last != nil && m.lastKey == key {
 		return m.last
 	}
-	p := m.pages[key]
-	if p != nil {
-		m.lastKey, m.last = key, p
+	id, ok := m.keys.Get(key)
+	if !ok {
+		return nil
 	}
+	p := m.pages[id]
+	m.lastKey, m.last = key, p
 	return p
 }
 
@@ -67,7 +72,8 @@ func (m *memory) store(a coherence.Addr, v uint64) {
 		}
 		p = &m.pageSlab[0]
 		m.pageSlab = m.pageSlab[1:]
-		m.pages[key] = p
+		m.keys.Intern(key) // a new key's id is len(m.pages)
+		m.pages = append(m.pages, p)
 		m.lastKey, m.last = key, p
 	}
 	w := wordOf(a)
@@ -78,16 +84,17 @@ func (m *memory) store(a coherence.Addr, v uint64) {
 // capture lists the present words in address order. Only the page keys
 // need sorting: words within a page come out in order from its mask.
 func (m *memory) capture() []MemState {
-	keys := make([]uint64, 0, len(m.pages))
+	keys := make([]uint64, len(m.pages))
 	n := 0
-	for k, p := range m.pages {
-		keys = append(keys, k)
+	for id, p := range m.pages {
+		keys[id] = m.keys.Key(int32(id))
 		n += bits.OnesCount64(p.present)
 	}
 	slices.Sort(keys)
 	out := make([]MemState, 0, n)
 	for _, k := range keys {
-		p := m.pages[k]
+		id, _ := m.keys.Get(k)
+		p := m.pages[id]
 		for set := p.present; set != 0; set &= set - 1 {
 			w := bits.TrailingZeros64(set)
 			out = append(out, MemState{Addr: k<<pageShift | uint64(w)<<3, Val: p.words[w]})

@@ -168,9 +168,12 @@ type ssbEntry struct {
 
 // replayer is the working state.
 type replayer struct {
-	cfg      Config
-	log      *relog.Log
-	memOps   [][]trace.Op // per core, memory ops in SN order
+	cfg Config
+	log *relog.Log
+	// threads is the workload, read in place; opIdx[pid][sn-1] is the
+	// index in threads[pid] of core pid's memory op sn.
+	threads  []trace.Thread
+	opIdx    [][]int32
 	expected [][]cpu.ExecRecord
 	mem      memory
 	mesh     *noc.Mesh
@@ -238,6 +241,9 @@ func Run(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg Con
 	}
 	return st.run(), nil
 }
+
+// op returns core pid's memory op sn, which must be in range.
+func (r *replayer) op(pid int, sn SN) trace.Op { return r.threads[pid][r.opIdx[pid][sn-1]] }
 
 // done reports whether chunk p has executed.
 func (r *replayer) done(p relog.ChunkRef) bool { return p.CID < int64(r.cursor[p.PID]) }
@@ -331,8 +337,9 @@ func (r *replayer) execute(c *relog.Chunk) (sim.Cycle, sim.Cycle) {
 
 	// Body. D_set and VLog are tiny per chunk (usually empty), so a
 	// linear scan beats building per-chunk lookup maps.
+	th, idx := r.threads[c.PID], r.opIdx[c.PID]
 	for sn := c.StartSN; sn <= c.EndSN; sn++ {
-		op := r.memOps[c.PID][sn-1]
+		op := th[idx[sn-1]]
 		off := int32(sn - c.StartSN)
 		r.res.OpsReplayed++
 		var d *relog.DEntry

@@ -48,7 +48,7 @@ type State struct {
 	ChunkEnd []ChunkEndState `json:"chunk_end"`
 	// SSB is the simulated store buffer of parked delayed stores, sorted
 	// by (PID, CID, Offset). The parked trace.Op is not serialized: it is
-	// re-derived from the workload as memOps[pid][sn-1].
+	// re-derived from the workload through the stepper's op index.
 	SSB []SSBState `json:"ssb"`
 	// Mem is the replayed memory image: every word ever stored to,
 	// sorted by address.

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 
 	"pacifier/internal/coherence"
 	"pacifier/internal/cpu"
@@ -65,7 +66,9 @@ type Stepper struct {
 }
 
 // NewStepper validates the log and builds a stepping replayer over it.
-// The arguments and checks are the same as RunWithMemory's.
+// The arguments and checks are the same as RunWithMemory's. The stepper
+// reads w's threads in place and never writes them, so w must not change
+// while the stepper is in use.
 func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg Config) (*Stepper, error) {
 	if err := relog.Validate(log); err != nil {
 		return nil, fmt.Errorf("replay: rejecting log: %w", err)
@@ -81,8 +84,8 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 	r := &replayer{
 		cfg:       cfg,
 		log:       log,
+		threads:   w.Threads,
 		expected:  expected,
-		mem:       newMemory(),
 		cursor:    make([]int, log.Cores),
 		chunkEnd:  make([][]sim.Cycle, log.Cores),
 		ssb:       make(map[ssbKey]ssbEntry),
@@ -116,24 +119,65 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 		n := len(log.Chunks(pid))
 		r.chunkEnd[pid], ends = ends[:n:n], ends[n:]
 	}
-	for pid, th := range w.Threads {
-		ops := make([]trace.Op, 0, len(th))
-		for _, op := range th {
-			switch op.Kind {
-			case trace.Read, trace.Write, trace.Acquire, trace.Release:
-				ops = append(ops, op)
-			}
-		}
-		r.memOps = append(r.memOps, ops)
+	if err := r.indexOps(); err != nil {
+		return nil, err
+	}
+	for pid, idx := range r.opIdx {
 		if chunks := log.Chunks(pid); len(chunks) > 0 {
 			last := chunks[len(chunks)-1]
-			if int(last.EndSN) != len(ops) {
+			if int(last.EndSN) != len(idx) {
 				return nil, fmt.Errorf("replay: core %d log covers SN 1..%d but workload has %d memory ops",
-					pid, last.EndSN, len(ops))
+					pid, last.EndSN, len(idx))
 			}
 		}
 	}
 	return &Stepper{r: r, remaining: log.TotalChunks()}, nil
+}
+
+// maxThreadOps is the longest thread the int32 op index can address. It
+// is a variable so tests can lower it.
+var maxThreadOps = math.MaxInt32
+
+// ThreadTooLongError rejects a workload thread with more operations than
+// the replayer's op index can address.
+type ThreadTooLongError struct {
+	PID int
+	Ops int
+}
+
+func (e *ThreadTooLongError) Error() string {
+	return fmt.Sprintf("replay: core %d's thread has %d ops; the op index addresses at most %d",
+		e.PID, e.Ops, maxThreadOps)
+}
+
+// indexOps builds opIdx, the SN -> op table over the workload's own
+// threads: one int32 per memory op, carved per core from one array sized
+// exactly to the memory-op count. Compute and Barrier ops get no entry.
+func (r *replayer) indexOps() error {
+	n := 0
+	for pid, th := range r.threads {
+		if len(th) > maxThreadOps {
+			return &ThreadTooLongError{PID: pid, Ops: len(th)}
+		}
+		for _, op := range th {
+			if op.Kind.IsMem() {
+				n++
+			}
+		}
+	}
+	flat := make([]int32, n)
+	r.opIdx = make([][]int32, len(r.threads))
+	for pid, th := range r.threads {
+		k := 0
+		for i, op := range th {
+			if op.Kind.IsMem() {
+				flat[k] = int32(i)
+				k++
+			}
+		}
+		r.opIdx[pid], flat = flat[:k:k], flat[k:]
+	}
+	return nil
 }
 
 // Step executes the next chunk of the schedule and reports it. It
@@ -290,10 +334,10 @@ func (s *Stepper) MemValue(addr coherence.Addr) uint64 { return s.r.mem.load(add
 // Op returns core pid's memory operation with serial number sn
 // (1-based), ok=false when out of range.
 func (s *Stepper) Op(pid int, sn SN) (trace.Op, bool) {
-	if pid < 0 || pid >= len(s.r.memOps) || sn < 1 || int64(sn) > int64(len(s.r.memOps[pid])) {
+	if pid < 0 || pid >= len(s.r.opIdx) || sn < 1 || int64(sn) > int64(len(s.r.opIdx[pid])) {
 		return trace.Op{}, false
 	}
-	return s.r.memOps[pid][sn-1], true
+	return s.r.op(pid, sn), true
 }
 
 // Result returns the live result accumulated so far. Callers must treat

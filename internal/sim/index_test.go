@@ -2,7 +2,8 @@ package sim
 
 import "testing"
 
-// checkIndex compares x against ref (key -> id) and the insertion order.
+// checkIndex compares x against ref (key -> id) and the insertion order,
+// in both directions: Get maps each key to its id, Key maps it back.
 func checkIndex(t *testing.T, x *Index, ref map[uint64]int32, order []uint64) {
 	t.Helper()
 	if len(x.keys) != len(ref) || len(order) != len(ref) {
@@ -12,6 +13,9 @@ func checkIndex(t *testing.T, x *Index, ref map[uint64]int32, order []uint64) {
 		id, ok := x.Get(k)
 		if !ok || id != int32(want) || ref[k] != id {
 			t.Fatalf("Get(%#x) = %d, %v; want id %d (first-insertion order)", k, id, ok, want)
+		}
+		if got := x.Key(id); got != k {
+			t.Fatalf("Key(%d) = %#x, want %#x", id, got, k)
 		}
 	}
 }

@@ -52,6 +52,10 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(k))
 }
 
+// IsMem reports whether k is a memory operation: one that gets a
+// sequence number and can be recorded and replayed.
+func (k OpKind) IsMem() bool { return k <= Release }
+
 // Op is one operation in a thread's program.
 type Op struct {
 	Kind   OpKind
@@ -75,8 +79,7 @@ func (w *Workload) MemOps() int {
 	n := 0
 	for _, th := range w.Threads {
 		for _, op := range th {
-			switch op.Kind {
-			case Read, Write, Acquire, Release:
+			if op.Kind.IsMem() {
 				n++
 			}
 		}

@@ -244,3 +244,12 @@ func TestOpKindStrings(t *testing.T) {
 		t.Fatal("op mnemonics wrong")
 	}
 }
+
+func TestOpKindIsMem(t *testing.T) {
+	for k, want := range map[OpKind]bool{Read: true, Write: true, Acquire: true, Release: true,
+		Barrier: false, Compute: false, Compute + 1: false} {
+		if k.IsMem() != want {
+			t.Errorf("%v.IsMem() = %v, want %v", k, !want, want)
+		}
+	}
+}
