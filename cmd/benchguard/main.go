@@ -9,29 +9,17 @@
 // granularity. Allocation counts are machine-independent and are always
 // compared.
 //
-// With -shard-overhead, benchguard additionally checks the candidate
-// report's sharded record case (pacifier bench -shards N) against the
-// serial record case in the same report — a same-machine, same-run
-// comparison, so timing is always meaningful. This is the CI tripwire
-// that keeps the parallel engine's single-shard configuration from
-// drifting away from the serial engine. -baseline may be omitted when
-// only this check is wanted.
-//
 // With -record-drop, the record cases' memops_per_s throughput is also
 // compared against the baseline (timing-gated like ns_per_op: only on
 // comparable environments or with -force-time) and the run fails when
 // the candidate's throughput dropped by more than the given fraction.
 //
-// With -speedup-guard, the candidate's speedup_vs_serial must be at
-// least the given fraction of the baseline's. Speedup is a ratio taken
-// within a single machine, so it stays meaningful across differing
-// environments and is checked even when wall-clock numbers are not.
+// Cases present in only one of the two reports are skipped.
 //
 // Usage:
 //
 //	benchguard -baseline BENCH_2026-08-07.json -candidate BENCH_ci.json -tolerance 0.02
-//	benchguard -baseline BENCH_2026-08-07.json -candidate BENCH_ci.json -record-drop 0.10 -speedup-guard 0.5
-//	benchguard -candidate BENCH_shards.json -shard-overhead 0.05
+//	benchguard -baseline BENCH_2026-08-07.json -candidate BENCH_ci.json -record-drop 0.10
 package main
 
 import (
@@ -52,15 +40,13 @@ type benchCase struct {
 }
 
 type benchReport struct {
-	Date            string      `json:"date"`
-	GoVersion       string      `json:"go"`
-	GOOS            string      `json:"goos"`
-	GOARCH          string      `json:"goarch"`
-	NumCPU          int         `json:"num_cpu"`
-	Workload        string      `json:"workload"`
-	Shards          int         `json:"shards"`
-	SpeedupVsSerial float64     `json:"speedup_vs_serial,omitempty"`
-	Bench           []benchCase `json:"benchmarks"`
+	Date      string      `json:"date"`
+	GoVersion string      `json:"go"`
+	GOOS      string      `json:"goos"`
+	GOARCH    string      `json:"goarch"`
+	NumCPU    int         `json:"num_cpu"`
+	Workload  string      `json:"workload"`
+	Bench     []benchCase `json:"benchmarks"`
 }
 
 func load(path string) (*benchReport, error) {
@@ -87,33 +73,22 @@ func comparable(a, b *benchReport) bool {
 
 func main() {
 	var (
-		baseline  = flag.String("baseline", "", "baseline BENCH report (optional with -shard-overhead)")
-		candidate = flag.String("candidate", "", "candidate BENCH report")
-		tolerance = flag.Float64("tolerance", 0.02, "allowed fractional regression (0.02 = 2%)")
-		forceTime = flag.Bool("force-time", false, "compare timing even across differing environments")
-		shardTol  = flag.Float64("shard-overhead", 0,
-			"allowed fractional slowdown of the candidate's sharded record case vs its serial one (0 = skip)")
+		baseline   = flag.String("baseline", "", "baseline BENCH report")
+		candidate  = flag.String("candidate", "", "candidate BENCH report")
+		tolerance  = flag.Float64("tolerance", 0.02, "allowed fractional regression (0.02 = 2%)")
+		forceTime  = flag.Bool("force-time", false, "compare timing even across differing environments")
 		recordDrop = flag.Float64("record-drop", 0,
 			"allowed fractional memops_per_s drop of the Record* cases vs baseline (0 = skip)")
-		speedupMin = flag.Float64("speedup-guard", 0,
-			"minimum candidate speedup_vs_serial as a fraction of the baseline's (0 = skip)")
 	)
 	flag.Parse()
-	if *candidate == "" || (*baseline == "" && *shardTol <= 0) {
-		fmt.Fprintln(os.Stderr, "benchguard: need -candidate plus -baseline and/or -shard-overhead")
+	if *candidate == "" || *baseline == "" {
+		fmt.Fprintln(os.Stderr, "benchguard: need -baseline and -candidate")
 		os.Exit(2)
 	}
 	cand, err := load(*candidate)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *shardTol > 0 {
-		checkShardOverhead(cand, *shardTol)
-	}
-	if *baseline == "" {
-		return
 	}
 	base, err := load(*baseline)
 	if err != nil {
@@ -180,60 +155,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchguard: no benchmark names in common")
 		os.Exit(2)
 	}
-	if *speedupMin > 0 {
-		switch {
-		case cand.SpeedupVsSerial <= 0:
-			fmt.Fprintln(os.Stderr, "benchguard: -speedup-guard needs a candidate report with speedup_vs_serial (pacifier bench -shards N)")
-			os.Exit(2)
-		case base.SpeedupVsSerial <= 0:
-			fmt.Println("benchguard: baseline has no speedup_vs_serial — speedup guard skipped")
-		default:
-			ratio := cand.SpeedupVsSerial / base.SpeedupVsSerial
-			verdict := "ok"
-			if ratio < *speedupMin {
-				verdict = "FAIL"
-				tripped = append(tripped, fmt.Sprintf("speedup_vs_serial collapse (%.3fx -> %.3fx)",
-					base.SpeedupVsSerial, cand.SpeedupVsSerial))
-			}
-			fmt.Printf("benchguard: speedup_vs_serial  %.3fx -> %.3fx  (%.0f%% of baseline, floor %.0f%%)  %s\n",
-				base.SpeedupVsSerial, cand.SpeedupVsSerial, ratio*100, *speedupMin*100, verdict)
-		}
-	}
 	if len(tripped) > 0 {
 		fmt.Fprintf(os.Stderr, "benchguard: regression beyond %.1f%% tolerance: %s\n",
 			*tolerance*100, strings.Join(tripped, ", "))
-		os.Exit(1)
-	}
-}
-
-// checkShardOverhead compares the report's sharded record case against
-// its serial record case (same run, same machine — timing is always
-// comparable) and fails when the sharded engine is more than tol slower.
-func checkShardOverhead(r *benchReport, tol float64) {
-	var serial, sharded *benchCase
-	for i := range r.Bench {
-		c := &r.Bench[i]
-		switch {
-		case c.Name == "RecordThroughput":
-			serial = c
-		case strings.HasPrefix(c.Name, "RecordThroughputShards"):
-			sharded = c
-		}
-	}
-	if serial == nil || sharded == nil || serial.NsPerOp <= 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: -shard-overhead needs both RecordThroughput and RecordThroughputShards* cases in the candidate\n")
-		os.Exit(2)
-	}
-	rel := float64(sharded.NsPerOp-serial.NsPerOp) / float64(serial.NsPerOp)
-	verdict := "ok"
-	if rel > tol {
-		verdict = "FAIL"
-	}
-	fmt.Printf("benchguard: %-24s vs serial %12d -> %12d ns/op  %+6.2f%%  (limit %+.2f%%)  %s\n",
-		sharded.Name, serial.NsPerOp, sharded.NsPerOp, rel*100, tol*100, verdict)
-	if verdict == "FAIL" {
-		fmt.Fprintf(os.Stderr, "benchguard: sharded engine overhead %+.2f%% exceeds %.1f%% tolerance\n",
-			rel*100, tol*100)
 		os.Exit(1)
 	}
 }

@@ -139,9 +139,10 @@ func main() {
 	// One job per (app, cores): all figures come from the same execution.
 	// Figures 11-13 need Karma, Vol and Gra; the strategy Pareto table
 	// (Figure 14) needs every recorder strategy plus the compressed-log
-	// measurements, so those runs co-record all modes with Compress set.
-	// The recorders are passive observers of one execution, so widening
-	// the mode set never changes the numbers the other figures read.
+	// measurements, so those runs co-record all modes with Compress set,
+	// and profile cycles to fill its measured-slowdown column. The
+	// recorders and the profiler are passive observers of one execution,
+	// so neither changes the numbers the other figures read.
 	modes := []string{"karma", "vol", "gra"}
 	compress := false
 	if *fig == 0 || *fig == 14 {
@@ -161,6 +162,7 @@ func main() {
 				Modes:          modes,
 				Replay:         true,
 				Compress:       compress,
+				ProfileCycles:  compress,
 				CaptureMetrics: *metricsOut != "",
 			})
 		}

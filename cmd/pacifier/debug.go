@@ -29,7 +29,6 @@ func debugCmd(args []string) {
 		seed      = fs.Uint64("seed", 1, "simulation seed of the original recording")
 		modeName  = fs.String("mode", "gra", "recorder mode the log was made under")
 		nonatomic = fs.Bool("nonatomic", false, "model non-atomic writes")
-		shards    = fs.Int("shards", 0, "parallel simulation shards for the reference recording")
 		script    = fs.String("script", "", "execute this debug command script and exit (CI mode)")
 		httpAddr  = fs.String("http", "", "serve /api/debug and /api/debug/stream on this address")
 		interval  = fs.Int64("interval", 0, "checkpoint every N chunks (0 = default 64); seek cost is O(interval)")
@@ -59,7 +58,7 @@ func debugCmd(args []string) {
 	// The reference is always profiled so the `prof` command has
 	// replay-side attribution to show.
 	run, err := pacifier.Record(w, pacifier.Options{
-		Seed: *seed, Atomic: !*nonatomic, Shards: *shards, ProfileCycles: true,
+		Seed: *seed, Atomic: !*nonatomic, ProfileCycles: true,
 	}, mode)
 	if err != nil {
 		fail("record reference: %v", err)

@@ -16,16 +16,9 @@
 //	pacifier sweep -apps all -http :9090          # live /metrics + /api/fleet
 //	pacifier serve -http :9090 -apps fft,lu       # continuous soak rounds
 //	pacifier bench -o BENCH.json
-//
-// Distributed sweeps shard the same jobs across worker processes:
-//
-//	pacifier coordinator -http :9090              # job queue + control plane
-//	pacifier worker -join http://host:9090        # one per core/box
-//	pacifier sweep -distributed http://host:9090 -apps all
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -41,7 +34,6 @@ import (
 	"testing"
 	"time"
 
-	"pacifier/internal/dist"
 	"pacifier/internal/harness"
 	"pacifier/internal/telemetry"
 	"pacifier/internal/telemetry/telhttp"
@@ -56,14 +48,6 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		serve(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "coordinator" {
-		coordinator(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		workerCmd(os.Args[2:])
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "bench" {
@@ -94,7 +78,6 @@ func main() {
 		cores       = flag.Int("cores", 16, "number of cores (threads)")
 		ops         = flag.Int("ops", 2000, "memory operations per thread")
 		seed        = flag.Uint64("seed", 1, "simulation seed")
-		shards      = flag.Int("shards", 0, "parallel simulation shards (0 = serial engine; results are identical)")
 		modeName    = flag.String("mode", "gra", "recorder: "+strings.Join(pacifier.ModeNames(), ", "))
 		nonatomic   = flag.Bool("nonatomic", false, "model non-atomic writes (PowerPC/ARM style)")
 		save        = flag.String("save", "", "write the encoded log to this file")
@@ -172,7 +155,7 @@ func main() {
 		flushTraceOnInterrupt(*traceFile, tr)
 	}
 	run, err := pacifier.Record(w, pacifier.Options{Seed: *seed, Atomic: !*nonatomic,
-		Tracer: tr, Shards: *shards, ProfileCycles: *profCycles}, modes...)
+		Tracer: tr, ProfileCycles: *profCycles}, modes...)
 	if err != nil {
 		fail("record: %v", err)
 	}
@@ -277,7 +260,6 @@ func profileCmd(args []string) {
 		cores     = fs.Int("cores", 16, "number of cores (threads)")
 		ops       = fs.Int("ops", 2000, "memory operations per thread")
 		seed      = fs.Uint64("seed", 1, "simulation seed")
-		shards    = fs.Int("shards", 0, "parallel simulation shards (0 = serial; attribution is identical)")
 		modesArg  = fs.String("modes", "gra", `recorder modes to co-record ("all" or a comma list)`)
 		nonatomic = fs.Bool("nonatomic", false, "model non-atomic writes")
 		folded    = fs.String("folded", "", "write folded stacks (core;component cycles) to this file")
@@ -317,7 +299,7 @@ func profileCmd(args []string) {
 		tr = pacifier.NewTracer(w.Name)
 	}
 	run, err := pacifier.Record(w, pacifier.Options{Seed: *seed, Atomic: !*nonatomic,
-		Tracer: tr, Shards: *shards, ProfileCycles: true}, modes...)
+		Tracer: tr, ProfileCycles: true}, modes...)
 	if err != nil {
 		fail("record: %v", err)
 	}
@@ -510,13 +492,11 @@ func sweep(args []string) {
 		coreArg   = fs.String("cores", "16,32,64", "machine sizes (comma list, app jobs only)")
 		ops       = fs.Int("ops", 2000, "memory operations per thread (>= 1)")
 		seed      = fs.Uint64("seed", 1, "simulation seed (>= 1)")
-		shards    = fs.Int("shards", 0, "parallel simulation shards per job (0 = serial engine; results are identical)")
 		modesArg  = fs.String("modes", "karma,vol,gra",
 			`recorder modes, co-recorded per job ("all" or a comma list; valid: `+strings.Join(pacifier.ModeNames(), ", ")+")")
 		noReplay   = fs.Bool("no-replay", false, "record only, skip replay verification")
 		compress   = fs.Bool("compress", false, "also compress each mode's log and report compressed bytes + modeled record slowdown (feeds the Figure 14 Pareto table)")
 		nonatomic  = fs.Bool("nonatomic", false, "model non-atomic writes")
-		distAddr   = fs.String("distributed", "", "submit the sweep to a coordinator at this base URL instead of simulating in-process (the coordinator owns caching, tracing and parallelism; -jobs/-cache-dir/-trace-dir are ignored)")
 		jobs       = fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
 		timeout    = fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
 		cacheDir   = fs.String("cache-dir", harness.DefaultCacheDir, "result cache directory")
@@ -589,7 +569,7 @@ func sweep(args []string) {
 				specs = append(specs, harness.JobSpec{
 					Kind: "app", Name: a, Cores: n, Ops: *ops, Seed: *seed,
 					Atomic: !*nonatomic, Modes: modes, Replay: !*noReplay,
-					Compress: *compress, CaptureMetrics: *metrics, Shards: *shards,
+					Compress: *compress, CaptureMetrics: *metrics,
 					ProfileCycles: *profCycles,
 				})
 			}
@@ -606,7 +586,7 @@ func sweep(args []string) {
 		specs = append(specs, harness.JobSpec{
 			Kind: "litmus", Name: l, Seed: *seed,
 			Atomic: !*nonatomic, Modes: modes, Replay: !*noReplay,
-			Compress: *compress, CaptureMetrics: *metrics, Shards: *shards,
+			Compress: *compress, CaptureMetrics: *metrics,
 			ProfileCycles: *profCycles,
 		})
 	}
@@ -614,56 +594,35 @@ func sweep(args []string) {
 		fail("sweep: nothing to run (empty -apps and -litmus)")
 	}
 
-	var outcomes []harness.Outcome
-	distWorkers := 0
 	stopServe := func() {}
-	if *distAddr != "" {
-		// Thin-client mode: the coordinator owns the queue, the cache
-		// and the worker fleet; this process just submits and waits.
-		interrupt := interruptChannel(logger)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() { <-interrupt; cancel() }()
-		client := &dist.Client{Base: *distAddr, Logger: logger}
-		var derr error
-		outcomes, derr = client.Run(ctx, specs)
-		if derr != nil && !errors.Is(derr, dist.ErrSweepFailed) && ctx.Err() == nil {
-			fail("distributed sweep: %v", derr)
+	var fleet *telemetry.Fleet
+	if *httpAddr != "" {
+		fleet = telemetry.NewFleet()
+		_, _, stop, err := telhttp.Serve(*httpAddr, telemetry.Enable(), fleet, logger)
+		if err != nil {
+			fail("%v", err)
 		}
-		if st, serr := client.DistStatus(context.Background()); serr == nil {
-			distWorkers = len(st.Workers)
-		}
-		cancel()
-	} else {
-		var fleet *telemetry.Fleet
-		if *httpAddr != "" {
-			fleet = telemetry.NewFleet()
-			_, _, stop, err := telhttp.Serve(*httpAddr, telemetry.Enable(), fleet, logger)
-			if err != nil {
-				fail("%v", err)
-			}
-			stopServe = stop
-		}
-
-		opts := harness.Options{Workers: *jobs, Timeout: *timeout, Logger: logger,
-			Fleet: fleet, Interrupt: interruptChannel(logger)}
-		if *traceDir != "" {
-			if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-				fail("%v", err)
-			}
-			opts.TraceDir = *traceDir
-		}
-		if !*noCache {
-			cache, err := harness.OpenCache(*cacheDir)
-			if err != nil {
-				fail("%v", err)
-			}
-			opts.Cache = cache
-		}
-
-		outcomes = harness.Run(specs, opts)
+		stopServe = stop
 	}
+
+	opts := harness.Options{Workers: *jobs, Timeout: *timeout, Logger: logger,
+		Fleet: fleet, Interrupt: interruptChannel(logger)}
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			fail("%v", err)
+		}
+		opts.TraceDir = *traceDir
+	}
+	if !*noCache {
+		cache, err := harness.OpenCache(*cacheDir)
+		if err != nil {
+			fail("%v", err)
+		}
+		opts.Cache = cache
+	}
+
+	outcomes := harness.Run(specs, opts)
 	sum := harness.Summarize(outcomes)
-	sum.DistWorkers = distWorkers
 	for _, o := range harness.Errs(outcomes) {
 		if errors.Is(o.Err, harness.ErrInterrupted) {
 			continue
@@ -825,115 +784,6 @@ func serve(args []string) {
 		case <-time.After(*interval):
 		}
 	}
-}
-
-// coordinator runs the distributed sweep coordinator: it owns the job
-// queue and the shared result store, serves the /api/dist/ job API to
-// workers and sweep clients, and exposes the whole control plane
-// (/metrics, /api/fleet with per-worker dist state, /readyz gated on
-// live workers) on one address. It runs until interrupted.
-func coordinator(args []string) {
-	fs := flag.NewFlagSet("pacifier coordinator", flag.ExitOnError)
-	var (
-		httpAddr    = fs.String("http", ":9090", "address to serve the coordinator API and telemetry on")
-		cacheDir    = fs.String("cache-dir", harness.DefaultCacheDir, "shared content-addressed result store")
-		leaseTTL    = fs.Duration("lease-ttl", dist.DefaultLeaseTTL*time.Second, "job lease lifetime without a heartbeat renewal")
-		maxAttempts = fs.Int("max-attempts", dist.DefaultMaxAttempts, "lease grants per job before it fails terminally")
-		logFormat   = fs.String("log-format", "text", "log output format: text, json")
-		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	fs.Parse(args)
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
-	if err != nil {
-		fail("%v", err)
-	}
-	cache, err := harness.OpenCache(*cacheDir)
-	if err != nil {
-		fail("%v", err)
-	}
-	fleet := telemetry.NewFleet()
-	coord := dist.NewCoordinator(dist.CoordinatorOptions{
-		Cache:       cache,
-		Fleet:       fleet,
-		LeaseTTL:    *leaseTTL,
-		MaxAttempts: *maxAttempts,
-		Logger:      logger,
-	})
-
-	srv := telhttp.NewServer(telemetry.Enable(), fleet)
-	srv.Handle("/api/dist/", coord.Handler())
-	srv.SetDist(coord.DistSnapshot)
-	// A coordinator with no live workers cannot make progress: report
-	// not-ready so load balancers and scripts wait for the fleet.
-	srv.SetReadyCheck(func() bool { return coord.LiveWorkers() > 0 })
-	addr, stop, err := srv.Start(*httpAddr, logger)
-	if err != nil {
-		fail("%v", err)
-	}
-	logger.Info("coordinator up",
-		"addr", addr.String(), "cache", cache.Dir(),
-		"lease_ttl", leaseTTL.String(), "max_attempts", *maxAttempts,
-		"join", "pacifier worker -join http://"+addr.String())
-
-	<-interruptChannel(logger)
-	stop()
-	logger.Info("coordinator stopped")
-}
-
-// workerCmd runs one sweep worker: it joins a coordinator and
-// executes leased jobs through the harness runner until interrupted.
-// Scale out by running more worker processes (on this host or any
-// other that can reach the coordinator).
-func workerCmd(args []string) {
-	fs := flag.NewFlagSet("pacifier worker", flag.ExitOnError)
-	var (
-		join      = fs.String("join", "", "coordinator base URL (e.g. http://10.0.0.1:9090); required")
-		name      = fs.String("name", "", "worker name in the fleet view (default host:pid)")
-		cacheDir  = fs.String("cache-dir", harness.DefaultCacheDir, "local result cache directory")
-		noCache   = fs.Bool("no-cache", false, "disable the local result cache")
-		timeout   = fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
-		poll      = fs.Duration("poll", 250*time.Millisecond, "idle poll interval")
-		logFormat = fs.String("log-format", "text", "log output format: text, json")
-		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	fs.Parse(args)
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
-	if err != nil {
-		fail("%v", err)
-	}
-	if *join == "" {
-		fail("worker: -join <coordinator url> is required")
-	}
-	if *name == "" {
-		host, _ := os.Hostname()
-		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	opts := dist.WorkerOptions{
-		Coordinator: *join,
-		Name:        *name,
-		Timeout:     *timeout,
-		Poll:        *poll,
-		Logger:      logger,
-	}
-	if !*noCache {
-		cache, err := harness.OpenCache(*cacheDir)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts.Cache = cache
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-interruptChannel(logger)
-		cancel()
-	}()
-	if err := dist.RunWorker(ctx, opts); err != nil && !errors.Is(err, context.Canceled) {
-		fail("worker: %v", err)
-	}
-	logger.Info("worker stopped")
 }
 
 // verifyReport is `pacifier verify -json`'s output schema. It shares
@@ -1152,20 +1002,13 @@ type benchCase struct {
 
 // benchReport is the BENCH_<date>.json schema.
 type benchReport struct {
-	Date      string `json:"date"`
-	GoVersion string `json:"go"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	Workload  string `json:"workload"`
-	// Shards is the -shards value the sharded record case ran with
-	// (0 = no sharded case measured).
-	Shards int `json:"shards"`
-	// SpeedupVsSerial is serial record ns/op over sharded record
-	// ns/op — > 1 means the parallel engine wins. Only present when a
-	// sharded case was measured; bounded by the host's CPU count.
-	SpeedupVsSerial float64     `json:"speedup_vs_serial,omitempty"`
-	Bench           []benchCase `json:"benchmarks"`
+	Date      string      `json:"date"`
+	GoVersion string      `json:"go"`
+	GOOS      string      `json:"goos"`
+	GOARCH    string      `json:"goarch"`
+	NumCPU    int         `json:"num_cpu"`
+	Workload  string      `json:"workload"`
+	Bench     []benchCase `json:"benchmarks"`
 }
 
 // bench measures record and replay throughput on one workload and emits
@@ -1177,7 +1020,6 @@ func bench(args []string) {
 		cores      = fs.Int("cores", 16, "number of cores (threads)")
 		ops        = fs.Int("ops", 1000, "memory operations per thread")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
-		shards     = fs.Int("shards", 0, "also measure the parallel engine at this shard count (0 = serial only)")
 		profCycles = fs.Bool("profile-cycles", false, "also measure record with the cycle-accounting profiler on (reports its overhead as a separate case)")
 		out        = fs.String("o", "", "output file (default BENCH_<date>.json)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -1207,22 +1049,6 @@ func bench(args []string) {
 			memops = run.MemOps()
 		}
 	})
-
-	// Optionally measure the same record on the parallel engine. The
-	// execution is bit-identical; only the wall clock may differ.
-	var recordSharded testing.BenchmarkResult
-	if *shards > 0 {
-		sopts := opts
-		sopts.Shards = *shards
-		recordSharded = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := pacifier.Record(w, sopts, pacifier.Granule); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 
 	// Optionally measure record with the profiler attributing cycles; the
 	// delta versus RecordThroughput is the profiler's own cost.
@@ -1263,21 +1089,10 @@ func bench(args []string) {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 		Workload:  fmt.Sprintf("%s/p%d ops=%d seed=%d", *app, *cores, *ops, *seed),
-		Shards:    *shards,
 		Bench: []benchCase{
 			caseFrom("RecordThroughput", record, memops),
 			caseFrom("ReplayThroughput", replay, replayed),
 		},
-	}
-	if *shards > 0 {
-		report.Bench = append(report.Bench,
-			caseFrom(fmt.Sprintf("RecordThroughputShards%d", *shards), recordSharded, memops))
-		// Both baselines must be real measurements: a zero serial ns/op
-		// (degenerate timer resolution) would make the ratio 0 or +Inf,
-		// and the benchguard gate would misread either as a regression.
-		if sns, rns := recordSharded.NsPerOp(), record.NsPerOp(); sns > 0 && rns > 0 {
-			report.SpeedupVsSerial = float64(rns) / float64(sns)
-		}
 	}
 	if *profCycles {
 		report.Bench = append(report.Bench,
@@ -1299,10 +1114,6 @@ func bench(args []string) {
 	for _, c := range report.Bench {
 		fmt.Printf("%-24s %12d ns/op %14.0f memops/s %8d allocs/op\n",
 			c.Name, c.NsPerOp, c.MemopsPerS, c.AllocsPerOp)
-	}
-	if report.SpeedupVsSerial > 0 {
-		fmt.Printf("speedup vs serial      %.2fx (shards=%d, %d cpus)\n",
-			report.SpeedupVsSerial, report.Shards, report.NumCPU)
 	}
 	fmt.Printf("report written     %s\n", path)
 	stopProfiles()

@@ -29,65 +29,62 @@ func debugFingerprint(t *testing.T, s *pacifier.DebugSession) string {
 
 // TestDebugCheckpointRoundTripModes proves the checkpoint wire format is
 // a faithful serialization of the replay machine for every recorder
-// strategy and every shard count the engine supports: a session is
-// interrupted mid-run, its state marshaled, restored into a *fresh*
-// machine, and the remainder of the replay must land on a final state
-// byte-identical (snapshot hash, result, stats, prof counters — all
-// folded into the fingerprint) to an uninterrupted run.
+// strategy: a session is interrupted mid-run, its state marshaled,
+// restored into a *fresh* machine, and the remainder of the replay must
+// land on a final state byte-identical (snapshot hash, result, stats,
+// prof counters — all folded into the fingerprint) to an uninterrupted
+// run.
 func TestDebugCheckpointRoundTripModes(t *testing.T) {
 	w, err := pacifier.App("fft", fixtureCores, fixtureOps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range fixtureModes(t) {
-		for shards := 0; shards <= fixtureShards; shards++ {
-			run, err := pacifier.Record(w, pacifier.Options{
-				Seed: 1, Atomic: true, Shards: shards, ProfileCycles: true,
-			}, mode)
-			if err != nil {
-				t.Fatalf("%v shards %d: %v", mode, shards, err)
-			}
+		run, err := pacifier.Record(w, pacifier.Options{
+			Seed: 1, Atomic: true, ProfileCycles: true,
+		}, mode)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
 
-			uninterrupted, err := run.DebugSession(nil, mode, 32)
-			if err != nil {
-				t.Fatalf("%v shards %d: %v", mode, shards, err)
-			}
-			want := debugFingerprint(t, uninterrupted)
+		uninterrupted, err := run.DebugSession(nil, mode, 32)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		want := debugFingerprint(t, uninterrupted)
 
-			// Interrupt a second session mid-run and freeze its state.
-			ses, err := run.DebugSession(nil, mode, 32)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mid := ses.Total() / 2
-			if err := ses.SeekTo(mid); err != nil {
-				t.Fatal(err)
-			}
-			frozen, err := ses.Stepper().CaptureState().Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
+		// Interrupt a second session mid-run and freeze its state.
+		ses, err := run.DebugSession(nil, mode, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := ses.Total() / 2
+		if err := ses.SeekTo(mid); err != nil {
+			t.Fatal(err)
+		}
+		frozen, err := ses.Stepper().CaptureState().Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// Thaw into a brand-new machine and replay the remainder.
-			resumed, err := run.DebugSession(nil, mode, 32)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := replay.UnmarshalState(frozen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := resumed.Stepper().RestoreState(st); err != nil {
-				t.Fatal(err)
-			}
-			if resumed.Pos() != mid {
-				t.Fatalf("%v shards %d: restore landed at pos %d, want %d",
-					mode, shards, resumed.Pos(), mid)
-			}
-			if got := debugFingerprint(t, resumed); got != want {
-				t.Errorf("%v shards %d: remainder after restore diverged:\n got %s\nwant %s",
-					mode, shards, got, want)
-			}
+		// Thaw into a brand-new machine and replay the remainder.
+		resumed, err := run.DebugSession(nil, mode, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := replay.UnmarshalState(frozen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Stepper().RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Pos() != mid {
+			t.Fatalf("%v: restore landed at pos %d, want %d", mode, resumed.Pos(), mid)
+		}
+		if got := debugFingerprint(t, resumed); got != want {
+			t.Errorf("%v: remainder after restore diverged:\n got %s\nwant %s",
+				mode, got, want)
 		}
 	}
 }

@@ -22,8 +22,7 @@ import (
 // values in testdata/fixture_hashes.json. Any change to recorder
 // semantics or the wire encoding shows up as a hash diff; hardening-only
 // changes (and strategy-plumbing refactors) must keep every hash
-// byte-identical. The parallel engine is pinned too: shards 1-4 must
-// reproduce the serial hash for every strategy.
+// byte-identical.
 //
 // The same 20 recordings generate the fuzz seed corpus under
 // internal/relog/testdata/fuzz/ (raw logs for the decode targets,
@@ -36,7 +35,6 @@ const (
 	fixtureSeeds  = 2
 	fixtureCores  = 4
 	fixtureOps    = 300
-	fixtureShards = 4
 	fixtureHashes = "testdata/fixture_hashes.json"
 	fuzzDir       = "internal/relog/testdata/fuzz"
 )
@@ -45,8 +43,7 @@ const (
 // folded per-core stacks plus the recorder-by-mode split) and hashes it.
 // The fixture records with ProfileCycles on, so the golden "<app>/s<n>/prof"
 // keys pin the profiler's attribution the same way the log hashes pin the
-// recorders — and the sharded test proves the attribution byte-identical
-// at every shard count.
+// recorders.
 func profHash(t *testing.T, run *pacifier.Run) string {
 	t.Helper()
 	rep := run.CycleReport()
@@ -174,57 +171,6 @@ func TestDeterminismFixture(t *testing.T) {
 	}
 	if len(golden) != len(got) {
 		t.Errorf("golden file has %d hashes, fixture produced %d", len(golden), len(got))
-	}
-}
-
-// TestDeterminismFixtureSharded pins the parallel engine against the
-// same golden file: at every shard count 1..fixtureShards, every
-// strategy's encoded log must hash to the value the serial engine
-// produced. (Defined after TestDeterminismFixture so an update run has
-// already rewritten the golden file by the time this reads it.)
-func TestDeterminismFixtureSharded(t *testing.T) {
-	blob, err := os.ReadFile(fixtureHashes)
-	if err != nil {
-		t.Fatalf("missing golden hashes (run with PACIFIER_UPDATE_FIXTURE=1 to generate): %v", err)
-	}
-	var golden map[string]string
-	if err := json.Unmarshal(blob, &golden); err != nil {
-		t.Fatal(err)
-	}
-
-	modes := fixtureModes(t)
-	for _, app := range pacifier.Apps() {
-		for seed := uint64(1); seed <= fixtureSeeds; seed++ {
-			w, err := pacifier.App(app, fixtureCores, fixtureOps, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for shards := 1; shards <= fixtureShards; shards++ {
-				run, err := pacifier.Record(w,
-					pacifier.Options{Seed: seed, Atomic: true, Shards: shards,
-						ProfileCycles: true}, modes...)
-				if err != nil {
-					t.Fatalf("%s seed %d shards %d: %v", app, seed, shards, err)
-				}
-				key := fmt.Sprintf("%s/s%d/prof", app, seed)
-				if h := profHash(t, run); golden[key] != h {
-					t.Errorf("%s shards %d: profiler attribution diverges from serial: %s -> %s",
-						key, shards, golden[key], h)
-				}
-				for _, mode := range modes {
-					blob, err := run.EncodedLog(mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sum := sha256.Sum256(blob)
-					key := fmt.Sprintf("%s/s%d/%v", app, seed, mode)
-					if h := hex.EncodeToString(sum[:]); golden[key] != h {
-						t.Errorf("%s shards %d: log hash diverges from serial: %s -> %s",
-							key, shards, golden[key], h)
-					}
-				}
-			}
-		}
 	}
 }
 

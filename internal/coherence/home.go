@@ -80,9 +80,8 @@ type homeLine struct {
 
 // home is one directory/L2 bank.
 type home struct {
-	sys  *System
-	port *tilePort // this tile's execution context (see tilePort)
-	id   noc.NodeID
+	sys *System
+	id  noc.NodeID
 
 	ids      sim.Index // line -> index into lines (see L1.ids)
 	lines    []*homeLine
@@ -106,10 +105,9 @@ type home struct {
 
 func newHome(sys *System, id noc.NodeID) *home {
 	return &home{
-		sys:  sys,
-		port: &sys.ports[id],
-		id:   id,
-		l2:   cache.New(sys.cfg.L2),
+		sys: sys,
+		id:  id,
+		l2:  cache.New(sys.cfg.L2),
 	}
 }
 
@@ -151,17 +149,17 @@ func (h *home) peek(l cache.Line) *homeLine {
 // image returns the line's backing data, allocating it on first use.
 func (h *home) image(s *homeLine) []uint64 {
 	if s.img == nil {
-		s.img = h.port.newLineWords()
+		s.img = h.sys.newLineWords()
 	}
 	return s.img
 }
 
 func (h *home) inc(cp **sim.Counter, name string) {
-	if h.port.stats == nil {
+	if h.sys.stats == nil {
 		return
 	}
 	if *cp == nil {
-		*cp = h.port.stats.Counter(name)
+		*cp = h.sys.stats.Counter(name)
 	}
 	(*cp).Value++
 }
@@ -178,7 +176,7 @@ func (h *home) accessLat(l cache.Line) sim.Cycle {
 		h.inc(&h.cL2Misses, "l2.misses")
 		lat = h.sys.cfg.L2Lat + h.sys.cfg.MemLat
 	}
-	h.lat.Add(h.port.stats, prof.Home, int64(lat))
+	h.lat.Add(h.sys.stats, prof.Home, int64(lat))
 	return lat
 }
 
@@ -218,7 +216,7 @@ func (h *home) maybeFinish(s *homeLine, t *txn) {
 		n := copy(s.q, s.q[1:])
 		s.q[n] = queuedReq{} // release the payload reference
 		s.q = s.q[:n]
-		h.lat.Add(h.port.stats, prof.Home, int64(h.port.eng.Now()-next.at))
+		h.lat.Add(h.sys.stats, prof.Home, int64(h.sys.eng.Now()-next.at))
 		h.serve(s, &next)
 	}
 }
@@ -244,14 +242,14 @@ func (h *home) serve(s *homeLine, r *queuedReq) {
 func (h *home) onGetS(l cache.Line, req noc.NodeID, reqSN SN) {
 	s := h.slot(l)
 	if s.txn != nil {
-		s.q = append(s.q, queuedReq{kind: qGetS, from: req, sn: reqSN, at: h.port.eng.Now()})
+		s.q = append(s.q, queuedReq{kind: qGetS, from: req, sn: reqSN, at: h.sys.eng.Now()})
 		return
 	}
 	h.serveGetS(s, req, reqSN)
 }
 
 func (h *home) serveGetS(s *homeLine, req noc.NodeID, reqSN SN) {
-	sys, p := h.sys, h.port
+	sys := h.sys
 	l := s.l
 	st := &s.st
 	if st.owner == int(req) {
@@ -266,7 +264,7 @@ func (h *home) serveGetS(s *homeLine, req noc.NodeID, reqSN SN) {
 		owner := noc.NodeID(st.owner)
 		st.sharers |= 1<<uint(st.owner) | 1<<uint(req)
 		st.owner = -1
-		ev := p.getEvt()
+		ev := sys.getEvt()
 		ev.kind, ev.to, ev.l, ev.from, ev.sn = kFwdGetS, owner, l, req, reqSN
 		sys.mesh.Send(h.id, owner, ctrlFlits, ev.fn)
 		return
@@ -282,31 +280,31 @@ func (h *home) serveGetS(s *homeLine, req noc.NodeID, reqSN SN) {
 	hasDep := st.lwValid && st.lw.PID != int(req)
 	if hasDep {
 		src = st.lw
-		snap = p.obs.SnapshotSource(src.PID, src.SN)
-		p.obs.OnLocalSource(src.PID, src.SN, true)
+		snap = sys.obs.SnapshotSource(src.PID, src.SN)
+		sys.obs.OnLocalSource(src.PID, src.SN, true)
 	}
-	val := p.getBuf()
+	val := sys.getBuf()
 	copy(val, h.image(s))
 	st.sharers |= 1 << uint(req)
-	ev := p.getEvt()
+	ev := sys.getEvt()
 	ev.kind, ev.to, ev.l, ev.val, ev.sn = kDataLat, req, l, val, reqSN
 	ev.f1, ev.ref1, ev.snap = hasDep, src, snap
 	ev.t, ev.hs = t, s
-	p.eng.After(lat, ev.fn)
+	sys.eng.After(lat, ev.fn)
 }
 
 // onGetM handles a write (or RMW) request.
 func (h *home) onGetM(l cache.Line, req noc.NodeID, reqSN SN) {
 	s := h.slot(l)
 	if s.txn != nil {
-		s.q = append(s.q, queuedReq{kind: qGetM, from: req, sn: reqSN, at: h.port.eng.Now()})
+		s.q = append(s.q, queuedReq{kind: qGetM, from: req, sn: reqSN, at: h.sys.eng.Now()})
 		return
 	}
 	h.serveGetM(s, req, reqSN)
 }
 
 func (h *home) serveGetM(s *homeLine, req noc.NodeID, reqSN SN) {
-	sys, p := h.sys, h.port
+	sys := h.sys
 	l := s.l
 	st := &s.st
 	writer := AccessRef{PID: int(req), SN: reqSN, IsWrite: true}
@@ -323,12 +321,12 @@ func (h *home) serveGetM(s *homeLine, req noc.NodeID, reqSN SN) {
 		st.sharers = 0
 		st.lw, st.lwValid = writer, true
 		st.lrValid = false
-		ev := p.getEvt()
+		ev := sys.getEvt()
 		ev.kind, ev.to, ev.l, ev.from, ev.sn = kFwdGetM, owner, l, req, reqSN
 		sys.mesh.Send(h.id, owner, ctrlFlits, ev.fn)
 		// Tell the requester how many invalidation acks to expect (zero
 		// beyond the owner's data message).
-		av := p.getEvt()
+		av := sys.getEvt()
 		av.kind, av.to, av.l, av.n = kAckCount, req, l, 0
 		sys.mesh.Send(h.id, req, ctrlFlits, av.fn)
 		return
@@ -337,19 +335,19 @@ func (h *home) serveGetM(s *homeLine, req noc.NodeID, reqSN SN) {
 	// except the requester.
 	h.begin(s, req, false, true)
 	lat := h.accessLat(l)
-	ev := p.getEvt()
+	ev := sys.getEvt()
 	deps := ev.deps[:0]
 	if st.lwValid && st.lw.PID != int(req) {
 		src := st.lw
-		snap := p.obs.SnapshotSource(src.PID, src.SN)
-		p.obs.OnLocalSource(src.PID, src.SN, true)
+		snap := sys.obs.SnapshotSource(src.PID, src.SN)
+		sys.obs.OnLocalSource(src.PID, src.SN, true)
 		deps = append(deps, Dependence{Kind: WAW, Src: src, Snap: snap, Line: l})
 	}
 	if st.lrValid && st.lr.PID != int(req) {
 		deps = append(deps, Dependence{Kind: WAR, Src: st.lr, Snap: st.lrSnap, Line: l})
 	}
 	st.lrValid = false // consumed by this write epoch
-	val := p.getBuf()
+	val := sys.getBuf()
 	copy(val, h.image(s))
 	targets := st.sharers &^ (1 << uint(req))
 	ackCount := popcount(targets)
@@ -361,12 +359,12 @@ func (h *home) serveGetM(s *homeLine, req noc.NodeID, reqSN SN) {
 		if targets&(1<<uint(pid)) == 0 {
 			continue
 		}
-		iv := p.getEvt()
+		iv := sys.getEvt()
 		iv.kind, iv.to, iv.l, iv.from, iv.sn = kInv, noc.NodeID(pid), l, req, reqSN
 		sys.mesh.Send(h.id, noc.NodeID(pid), ctrlFlits, iv.fn)
 	}
 	ev.kind, ev.to, ev.l, ev.val, ev.n, ev.deps = kDataMLat, req, l, val, ackCount, deps
-	p.eng.After(lat, ev.fn)
+	sys.eng.After(lat, ev.fn)
 }
 
 // onWB receives the owner's writeback copy during a Fwd_GetS
@@ -410,7 +408,7 @@ func (h *home) onPutM(l cache.Line, from noc.NodeID, data []uint64, dirty bool,
 	if s.txn != nil {
 		s.q = append(s.q, queuedReq{kind: qPutM, from: from, data: data, dirty: dirty,
 			hasRead: hasRead, rd: rd, rdSnap: rdSnap, lwValid: lwValid, lwSN: lwSN,
-			at: h.port.eng.Now()})
+			at: h.sys.eng.Now()})
 		return
 	}
 	h.servePutM(s, from, data, dirty, hasRead, rd, rdSnap, lwValid, lwSN)
@@ -434,7 +432,7 @@ func (h *home) servePutM(s *homeLine, from noc.NodeID, data []uint64, dirty bool
 	}
 	// Stale PutM (ownership already moved): just ack; the data
 	// already traveled with the forward response.
-	ev := h.port.getEvt()
+	ev := h.sys.getEvt()
 	ev.kind, ev.to, ev.l = kPutAck, from, l
 	h.sys.mesh.Send(h.id, from, ctrlFlits, ev.fn)
 }

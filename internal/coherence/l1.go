@@ -215,9 +215,8 @@ type l1Line struct {
 
 // L1 is one core's private cache controller.
 type L1 struct {
-	sys  *System
-	port *tilePort // this tile's execution context (see tilePort)
-	id   noc.NodeID
+	sys *System
+	id  noc.NodeID
 
 	arr *cache.Cache
 
@@ -256,10 +255,9 @@ type L1 struct {
 
 func newL1(sys *System, id noc.NodeID) *L1 {
 	return &L1{
-		sys:  sys,
-		port: &sys.ports[id],
-		id:   id,
-		arr:  cache.New(sys.cfg.L1),
+		sys: sys,
+		id:  id,
+		arr: cache.New(sys.cfg.L1),
 	}
 }
 
@@ -300,11 +298,11 @@ func (c *L1) peek(l cache.Line) *l1Line {
 }
 
 func (c *L1) inc(cp **sim.Counter, name string) {
-	if c.port.stats == nil {
+	if c.sys.stats == nil {
 		return
 	}
 	if *cp == nil {
-		*cp = c.port.stats.Counter(name)
+		*cp = c.sys.stats.Counter(name)
 	}
 	(*cp).Value++
 }
@@ -317,13 +315,13 @@ func (c *L1) newMSHR(l cache.Line) *mshr {
 		ms.line = l
 		ms.wantM = false
 		ms.staleInv = false
-		ms.start = c.port.eng.Now()
+		ms.start = c.sys.eng.Now()
 		ms.loads = ms.loads[:0]
 		ms.stores = ms.stores[:0]
 		ms.rmws = ms.rmws[:0]
 		return ms
 	}
-	return &mshr{line: l, start: c.port.eng.Now()}
+	return &mshr{line: l, start: c.sys.eng.Now()}
 }
 
 // retireMSHR detaches the slot's MSHR and recycles it. The MSHR's whole
@@ -333,7 +331,7 @@ func (c *L1) retireMSHR(s *l1Line) {
 	ms := s.mshr
 	s.mshr = nil
 	c.nMSHR--
-	c.lat.Add(c.port.stats, prof.L1Miss, int64(c.port.eng.Now()-ms.start))
+	c.lat.Add(c.sys.stats, prof.L1Miss, int64(c.sys.eng.Now()-ms.start))
 	c.mshrFree = append(c.mshrFree, ms)
 }
 
@@ -374,7 +372,7 @@ func (c *L1) deliverLineDeps(s *l1Line, sn SN, isWrite bool) {
 	dst := AccessRef{PID: c.pid(), SN: sn, IsWrite: isWrite}
 	for _, d := range s.lineDeps {
 		d.Dst = dst
-		c.port.obs.OnDependence(d)
+		c.sys.obs.OnDependence(d)
 	}
 }
 
@@ -407,10 +405,10 @@ func (c *L1) Load(a Addr, sn SN, done LoadDone) {
 		c.noteRead(s, sn)
 		c.deliverLineDeps(s, sn, false)
 		c.inc(&c.cLoadHits, "l1.load_hits")
-		c.lat.Add(c.port.stats, prof.L1Hit, int64(c.sys.cfg.L1HitLat))
+		c.lat.Add(c.sys.stats, prof.L1Hit, int64(c.sys.cfg.L1HitLat))
 		rp := c.getReply()
 		rp.kind, rp.sn, rp.v, rp.ldone = rLoad, sn, v, done
-		c.port.eng.After(c.sys.cfg.L1HitLat, rp.fn)
+		c.sys.eng.After(c.sys.cfg.L1HitLat, rp.fn)
 		return
 	}
 	c.inc(&c.cLoadMisses, "l1.load_misses")
@@ -426,7 +424,7 @@ func (c *L1) Load(a Addr, sn SN, done LoadDone) {
 	ms := c.newMSHR(l)
 	ms.loads = append(ms.loads, loadWaiter{a, sn, done})
 	s.mshr = ms
-	ev := c.port.getEvt()
+	ev := c.sys.getEvt()
 	ev.kind, ev.l, ev.from, ev.sn = kGetS, l, c.id, sn
 	c.sys.mesh.Send(c.id, c.sys.HomeNode(l), ctrlFlits, ev.fn)
 }
@@ -447,17 +445,17 @@ func (c *L1) Store(a Addr, val uint64, sn SN, local StoreLocal, done StoreDone) 
 		c.deliverLineDeps(s, sn, true)
 		s.epochStores = append(s.epochStores, sn)
 		c.inc(&c.cStoreHits, "l1.store_hits")
-		c.lat.Add(c.port.stats, prof.L1Hit, int64(c.sys.cfg.L1HitLat))
+		c.lat.Add(c.sys.stats, prof.L1Hit, int64(c.sys.cfg.L1HitLat))
 		rp := c.getReply()
 		rp.sn, rp.local = sn, local
 		if tr := incompleteTracker(s); tr != nil {
 			rp.kind = rStoreLocal
-			c.port.eng.After(c.sys.cfg.L1HitLat, rp.fn)
+			c.sys.eng.After(c.sys.cfg.L1HitLat, rp.fn)
 			tr.stores = append(tr.stores, storeWaiter{a: a, val: val, sn: sn, local: local, done: done})
 			return
 		}
 		rp.kind, rp.sdone = rStoreBoth, done
-		c.port.eng.After(c.sys.cfg.L1HitLat, rp.fn)
+		c.sys.eng.After(c.sys.cfg.L1HitLat, rp.fn)
 		return
 	}
 	c.inc(&c.cStoreMisses, "l1.store_misses")
@@ -497,14 +495,14 @@ func (c *L1) RMW(a Addr, sn SN, update func(old uint64) (uint64, bool), done RMW
 		c.deliverLineDeps(s, sn, true)
 		s.epochStores = append(s.epochStores, sn)
 		c.inc(&c.cRMWHits, "l1.rmw_hits")
-		c.lat.Add(c.port.stats, prof.L1Hit, int64(c.sys.cfg.L1HitLat))
+		c.lat.Add(c.sys.stats, prof.L1Hit, int64(c.sys.cfg.L1HitLat))
 		if tr := incompleteTracker(s); tr != nil {
 			tr.rmws = append(tr.rmws, rmwWaiter{a: a, sn: sn, done: done, old: old, applied: apply})
 			return
 		}
 		rp := c.getReply()
 		rp.kind, rp.sn, rp.v, rp.applied, rp.rdone = rRMW, sn, old, apply, done
-		c.port.eng.After(c.sys.cfg.L1HitLat, rp.fn)
+		c.sys.eng.After(c.sys.cfg.L1HitLat, rp.fn)
 		return
 	}
 	c.inc(&c.cRMWMisses, "l1.rmw_misses")
@@ -526,7 +524,7 @@ func (c *L1) RMW(a Addr, sn SN, update func(old uint64) (uint64, bool), done RMW
 }
 
 func (c *L1) sendGetM(l cache.Line, sn SN) {
-	ev := c.port.getEvt()
+	ev := c.sys.getEvt()
 	ev.kind, ev.l, ev.from, ev.sn = kGetM, l, c.id, sn
 	c.sys.mesh.Send(c.id, c.sys.HomeNode(l), ctrlFlits, ev.fn)
 }
@@ -560,10 +558,10 @@ func (c *L1) fillShared(l cache.Line, val []uint64, hasDep bool, src AccessRef, 
 		for _, w := range ms.loads {
 			v := val[c.sys.wordIdx(w.a)]
 			if hasDep {
-				c.port.obs.OnDependence(Dependence{Kind: RAW, Src: src, Snap: snap,
+				c.sys.obs.OnDependence(Dependence{Kind: RAW, Src: src, Snap: snap,
 					Dst: AccessRef{PID: c.pid(), SN: w.sn}, Line: l})
 			}
-			c.port.obs.OnLogOldValue(c.pid(), w.sn, l, v)
+			c.sys.obs.OnLogOldValue(c.pid(), w.sn, l, v)
 			w.done(w.sn, v)
 		}
 		ms.loads = ms.loads[:0]
@@ -597,7 +595,7 @@ func (c *L1) fillShared(l cache.Line, val []uint64, hasDep bool, src AccessRef, 
 	if len(ms.loads) > 0 {
 		if hasDep {
 			for _, w := range ms.loads {
-				c.port.obs.OnDependence(Dependence{
+				c.sys.obs.OnDependence(Dependence{
 					Kind: RAW,
 					Src:  src,
 					Snap: snap,
@@ -693,7 +691,7 @@ func (c *L1) fillModifiedWithDeps(l cache.Line, val []uint64, ackCount int, deps
 		for _, d := range deps {
 			for _, dst := range dsts {
 				d.Dst = dst
-				c.port.obs.OnDependence(d)
+				c.sys.obs.OnDependence(d)
 			}
 		}
 	}
@@ -725,7 +723,7 @@ func (c *L1) fillModifiedWithDeps(l cache.Line, val []uint64, ackCount int, deps
 	tr := c.newTracker()
 	tr.line = l
 	tr.storeSN = primary
-	tr.start = c.port.eng.Now()
+	tr.start = c.sys.eng.Now()
 	tr.needed = ackCount
 	tr.stores = append(tr.stores, ms.stores...)
 	tr.rmws = append(tr.rmws, ms.rmws...)
@@ -770,7 +768,7 @@ func (c *L1) onAckCount(l cache.Line, n int) {
 // onInv: a remote store invalidates our copy. This is the moment that
 // store becomes performed with respect to this core.
 func (c *L1) onInv(l cache.Line, req noc.NodeID, writer AccessRef) {
-	obs := c.port.obs
+	obs := c.sys.obs
 	obs.OnStorePerformedWrt(writer, c.pid(), l)
 
 	s := c.slot(l)
@@ -799,12 +797,12 @@ func (c *L1) onInv(l cache.Line, req noc.NodeID, writer AccessRef) {
 		ms.staleInv = true
 	}
 	if st := c.arr.Lookup(l); st != cache.Invalid {
-		if c.port.tr != nil {
-			c.port.traceMESI(c.pid(), l, st, cache.Invalid)
+		if c.sys.tr != nil {
+			c.sys.traceMESI(c.pid(), l, st, cache.Invalid)
 		}
 		c.arr.Evict(l)
 	}
-	ev := c.port.getEvt()
+	ev := c.sys.getEvt()
 	ev.kind, ev.to, ev.l, ev.from = kInvAck, req, l, c.id
 	ev.ref1, ev.f1, ev.ref2, ev.snap, ev.pwq = writer, warValid, warSrc, snap, pwq
 	c.sys.mesh.Send(c.id, req, ctrlFlits, ev.fn)
@@ -839,14 +837,14 @@ func (c *L1) applyInvAck(s *l1Line, tr *ackTracker, from noc.NodeID,
 	if pwq.HasPerformedLoad {
 		if tr.newValObserved {
 			logPath = true
-			ev := c.port.getEvt()
+			ev := c.sys.getEvt()
 			ev.kind, ev.to, ev.sn, ev.l, ev.v = kLogOld, from, pwq.LoadSN, l, pwq.OldValue
 			c.sys.mesh.Send(c.id, from, ctrlFlits, ev.fn)
 			c.inc(&c.cValueLogs, "nonatomic.value_logs")
 		} else {
 			// The "unnecessary message exchange" of Section 3.2: release
 			// the held PW entry without logging.
-			ev := c.port.getEvt()
+			ev := c.sys.getEvt()
 			ev.kind, ev.to, ev.sn = kRelease, from, pwq.LoadSN
 			c.sys.mesh.Send(c.id, from, ctrlFlits, ev.fn)
 			c.inc(&c.cReleases, "nonatomic.releases")
@@ -861,18 +859,18 @@ func (c *L1) applyInvAck(s *l1Line, tr *ackTracker, from noc.NodeID,
 		delivered := false
 		for _, sn := range s.epochStores {
 			war.Dst = AccessRef{PID: c.pid(), SN: sn, IsWrite: true}
-			c.port.obs.OnDependence(war)
+			c.sys.obs.OnDependence(war)
 			delivered = true
 		}
 		if !delivered {
 			// Line already lost: fall back to the tracker's stores.
 			for _, sw := range tr.stores {
 				war.Dst = AccessRef{PID: c.pid(), SN: sw.sn, IsWrite: true}
-				c.port.obs.OnDependence(war)
+				c.sys.obs.OnDependence(war)
 			}
 			for _, rw := range tr.rmws {
 				war.Dst = AccessRef{PID: c.pid(), SN: rw.sn, IsWrite: true}
-				c.port.obs.OnDependence(war)
+				c.sys.obs.OnDependence(war)
 			}
 		}
 		if len(s.lineDeps) > 0 || len(s.epochStores) > 0 {
@@ -907,8 +905,8 @@ func (c *L1) maybeCompleteTracker(s *l1Line, tr *ackTracker) {
 	}
 	tr.finished = true
 	if tr.needed > 0 {
-		c.port.observeInvLatency(c.port.eng.Now() - tr.start)
-		c.lat.Add(c.port.stats, prof.PW, int64(c.port.eng.Now()-tr.start))
+		c.sys.observeInvLatency(c.sys.eng.Now() - tr.start)
+		c.lat.Add(c.sys.stats, prof.PW, int64(c.sys.eng.Now()-tr.start))
 	}
 	for _, sw := range tr.stores {
 		sw.done(sw.sn)
@@ -929,7 +927,7 @@ func (c *L1) maybeCompleteTracker(s *l1Line, tr *ackTracker) {
 }
 
 func (c *L1) unblockHome(l cache.Line) {
-	ev := c.port.getEvt()
+	ev := c.sys.getEvt()
 	ev.kind, ev.l = kUnblock, l
 	c.sys.mesh.Send(c.id, c.sys.HomeNode(l), ctrlFlits, ev.fn)
 }
@@ -940,8 +938,8 @@ func (c *L1) onFwdGetS(l cache.Line, req noc.NodeID, reqSN SN, homeID noc.NodeID
 	s := c.slot(l)
 	val, fromWB := c.ownedData(s)
 	if !fromWB {
-		if c.port.tr != nil {
-			c.port.traceMESI(c.pid(), l, c.arr.Lookup(l), cache.Shared)
+		if c.sys.tr != nil {
+			c.sys.traceMESI(c.pid(), l, c.arr.Lookup(l), cache.Shared)
 		}
 		c.arr.SetState(l, cache.Shared)
 	}
@@ -958,18 +956,18 @@ func (c *L1) onFwdGetS(l cache.Line, req noc.NodeID, reqSN SN, homeID noc.NodeID
 	if s.hasWrite {
 		hasDep = true
 		src = AccessRef{PID: c.pid(), SN: s.lastWrite, IsWrite: true}
-		snap = c.port.obs.SnapshotSource(c.pid(), s.lastWrite)
-		c.port.obs.OnLocalSource(c.pid(), s.lastWrite, true)
+		snap = c.sys.obs.SnapshotSource(c.pid(), s.lastWrite)
+		c.sys.obs.OnLocalSource(c.pid(), s.lastWrite, true)
 	}
-	out := c.port.getBuf()
+	out := c.sys.getBuf()
 	copy(out, val)
-	ev := c.port.getEvt()
+	ev := c.sys.getEvt()
 	ev.kind, ev.to, ev.l, ev.val = kDataFromOwner, req, l, out
 	ev.f1, ev.ref1, ev.snap = hasDep, src, snap
 	c.sys.mesh.Send(c.id, req, dataFlits, ev.fn)
-	wb := c.port.getBuf()
+	wb := c.sys.getBuf()
 	copy(wb, val)
-	wev := c.port.getEvt()
+	wev := c.sys.getEvt()
 	wev.kind, wev.l, wev.val, wev.from = kWB, l, wb, c.id
 	wev.f1, wev.sn = s.hasWrite, s.lastWrite
 	c.sys.mesh.Send(c.id, homeID, dataFlits, wev.fn)
@@ -978,12 +976,12 @@ func (c *L1) onFwdGetS(l cache.Line, req noc.NodeID, reqSN SN, homeID noc.NodeID
 // onFwdGetM: we own the line; a remote write takes it. Hand the data and
 // ownership to the requester and invalidate ourselves.
 func (c *L1) onFwdGetM(l cache.Line, req noc.NodeID, reqSN SN, writer AccessRef) {
-	obs := c.port.obs
+	obs := c.sys.obs
 	obs.OnStorePerformedWrt(writer, c.pid(), l)
 
 	s := c.slot(l)
 	val, fromWB := c.ownedData(s)
-	ev := c.port.getEvt()
+	ev := c.sys.getEvt()
 	deps := ev.deps[:0]
 	if s.hasWrite {
 		deps = append(deps, Dependence{
@@ -1008,12 +1006,12 @@ func (c *L1) onFwdGetM(l cache.Line, req noc.NodeID, reqSN SN, writer AccessRef)
 	s.lineDeps = s.lineDeps[:0]
 	s.epochStores = s.epochStores[:0]
 	if st := c.arr.Lookup(l); !fromWB && st != cache.Invalid {
-		if c.port.tr != nil {
-			c.port.traceMESI(c.pid(), l, st, cache.Invalid)
+		if c.sys.tr != nil {
+			c.sys.traceMESI(c.pid(), l, st, cache.Invalid)
 		}
 		c.arr.Evict(l)
 	}
-	out := c.port.getBuf()
+	out := c.sys.getBuf()
 	copy(out, val)
 	ev.kind, ev.to, ev.l, ev.val, ev.deps = kDataMFromOwner, req, l, out, deps
 	c.sys.mesh.Send(c.id, req, dataFlits, ev.fn)
@@ -1044,16 +1042,16 @@ func (c *L1) onPutAck(l cache.Line) {
 // by every later one.
 func (c *L1) install(s *l1Line, st cache.State, val []uint64) {
 	var prev cache.State
-	if c.port.tr != nil {
+	if c.sys.tr != nil {
 		prev = c.arr.Lookup(s.l)
 	}
 	v, evicted := c.arr.Insert(s.l, st)
-	if c.port.tr != nil {
+	if c.sys.tr != nil {
 		if evicted {
-			c.port.traceMESI(c.pid(), v.Line, v.State, cache.Invalid)
+			c.sys.traceMESI(c.pid(), v.Line, v.State, cache.Invalid)
 		}
 		if prev != st {
-			c.port.traceMESI(c.pid(), s.l, prev, st)
+			c.sys.traceMESI(c.pid(), s.l, prev, st)
 		}
 	}
 	if evicted {
@@ -1072,10 +1070,10 @@ func (c *L1) install(s *l1Line, st cache.State, val []uint64) {
 			var rdSnap SrcSnap
 			if hasRead {
 				rd = AccessRef{PID: c.pid(), SN: vs.lastRead}
-				rdSnap = c.port.obs.SnapshotSource(c.pid(), vs.lastRead)
-				c.port.obs.OnLocalSource(c.pid(), vs.lastRead, false)
+				rdSnap = c.sys.obs.SnapshotSource(c.pid(), vs.lastRead)
+				c.sys.obs.OnLocalSource(c.pid(), vs.lastRead, false)
 			}
-			ev := c.port.getEvt()
+			ev := c.sys.getEvt()
 			ev.kind, ev.l, ev.from, ev.val = kPutM, vl, c.id, data
 			ev.f1, ev.f2, ev.ref1, ev.snap = true, hasRead, rd, rdSnap
 			ev.f3, ev.sn = vs.hasWrite, vs.lastWrite
@@ -1086,7 +1084,7 @@ func (c *L1) install(s *l1Line, st cache.State, val []uint64) {
 		vs.epochStores = vs.epochStores[:0]
 	}
 	if s.data == nil {
-		s.data = c.port.newLineWords()
+		s.data = c.sys.newLineWords()
 	}
 	copy(s.data, val)
 }

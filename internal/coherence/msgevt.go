@@ -66,44 +66,31 @@ type msgEvt struct {
 	fn func()
 }
 
-func (p *tilePort) getEvt() *msgEvt {
-	pl := p.pool
-	if n := len(pl.evtFree); n > 0 {
-		e := pl.evtFree[n-1]
-		pl.evtFree = pl.evtFree[:n-1]
+func (s *System) getEvt() *msgEvt {
+	if n := len(s.evtFree); n > 0 {
+		e := s.evtFree[n-1]
+		s.evtFree = s.evtFree[:n-1]
 		return e
 	}
-	e := &msgEvt{sys: p.sys}
+	e := &msgEvt{sys: s}
 	e.fn = e.fire
 	return e
 }
 
-// recycle drops payload references and returns the slot to the delivery
-// tile's pool (free slots migrate between pools; see msgPool). Called
-// after the delivery handler returns; the handler received the event's
-// fields directly, which is safe because the slot cannot be reused until
-// it is back on the free list.
-func (e *msgEvt) recycle(p *tilePort) {
+// recycle drops payload references and returns the slot to the pool.
+// Called after the delivery handler returns; the handler received the
+// event's fields directly, which is safe because the slot cannot be
+// reused until it is back on the free list.
+func (e *msgEvt) recycle() {
 	e.val = nil
 	e.deps = e.deps[:0]
 	e.t = nil
 	e.hs = nil
-	p.pool.evtFree = append(p.pool.evtFree, e)
+	e.sys.evtFree = append(e.sys.evtFree, e)
 }
 
 func (e *msgEvt) fire() {
 	sys := e.sys
-	// Resolve the executing tile's port: home-addressed kinds run at the
-	// line's home bank, everything else at the explicit destination tile.
-	// Pool and observer access below must go through this port so each
-	// shard only touches its own state.
-	var p *tilePort
-	switch e.kind {
-	case kGetS, kGetM, kUnblock, kWB, kPutM, kDataLat, kDataMLat:
-		p = &sys.ports[sys.HomeNode(e.l)]
-	default:
-		p = &sys.ports[e.to]
-	}
 	switch e.kind {
 	case kGetS:
 		sys.homeOf(e.l).onGetS(e.l, e.from, e.sn)
@@ -114,19 +101,19 @@ func (e *msgEvt) fire() {
 	case kInvAck:
 		sys.l1s[e.to].onInvAck(e.l, e.from, e.ref1, e.f1, e.ref2, e.snap, e.pwq)
 	case kLogOld:
-		p.obs.OnLogOldValue(int(e.to), e.sn, e.l, e.v)
-		p.obs.OnReleasePWEntry(int(e.to), e.sn)
+		sys.obs.OnLogOldValue(int(e.to), e.sn, e.l, e.v)
+		sys.obs.OnReleasePWEntry(int(e.to), e.sn)
 	case kRelease:
-		p.obs.OnReleasePWEntry(int(e.to), e.sn)
+		sys.obs.OnReleasePWEntry(int(e.to), e.sn)
 	case kDataFromOwner:
 		sys.l1s[e.to].onDataFromOwner(e.l, e.val, e.f1, e.ref1, e.snap)
-		p.putBuf(e.val)
+		sys.putBuf(e.val)
 	case kWB:
 		sys.homeOf(e.l).onWB(e.l, e.val, e.from, e.f1, e.sn)
-		p.putBuf(e.val)
+		sys.putBuf(e.val)
 	case kDataMFromOwner:
 		sys.l1s[e.to].onDataMFromOwner(e.l, e.val, e.deps)
-		p.putBuf(e.val)
+		sys.putBuf(e.val)
 	case kPutM:
 		// e.val aliases the evicting cache's wb buffer: not pooled.
 		sys.homeOf(e.l).onPutM(e.l, e.from, e.val, e.f1, e.f2, e.ref1, e.snap, e.f3, e.sn)
@@ -145,7 +132,7 @@ func (e *msgEvt) fire() {
 		return
 	case kData:
 		sys.l1s[e.to].onData(e.l, e.val, e.f1, e.ref1, e.snap, e.sn)
-		p.putBuf(e.val)
+		sys.putBuf(e.val)
 	case kFwdGetM:
 		writer := AccessRef{PID: int(e.from), SN: e.sn, IsWrite: true}
 		sys.l1s[e.to].onFwdGetM(e.l, e.from, e.sn, writer)
@@ -160,9 +147,9 @@ func (e *msgEvt) fire() {
 		return
 	case kDataM:
 		sys.l1s[e.to].onDataM(e.l, e.val, e.n, e.deps)
-		p.putBuf(e.val)
+		sys.putBuf(e.val)
 	default: // kPutAck
 		sys.l1s[e.to].onPutAck(e.l)
 	}
-	e.recycle(p)
+	e.recycle()
 }

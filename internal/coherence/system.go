@@ -56,15 +56,23 @@ type System struct {
 
 	lineWords uint // words per line
 
-	// ports carries each tile's execution context (engine, observer,
-	// stats, tracer, message pool). The slice is allocated once and
-	// mutated in place, so the *tilePort handles held by controllers stay
-	// valid when SetSharding repoints the fields.
-	ports []tilePort
+	// Message pooling. bufFree recycles transient line-sized payload
+	// buffers (data message bodies, writeback copies). Buffers are
+	// returned after the receiver has copied them into its own storage;
+	// long-lived images never come from here. PutM payloads alias the
+	// sender's wb buffer and must not be pooled.
+	bufFree [][]uint64
+	// wordSlab carves long-lived line images/data arrays out of large
+	// chunks so each resident line does not cost its own allocation.
+	wordSlab []uint64
+	// evtFree recycles in-flight message events (see msgEvt).
+	evtFree []*msgEvt
 
 	// Observability (nil when disabled): tr receives MESI transition
-	// events (serial mode; sharded tracers live on the ports).
-	tr *obs.Tracer
+	// events; hInvLat is the lazily resolved invalidation-latency
+	// histogram of stats.
+	tr      *obs.Tracer
+	hInvLat *sim.Histogram
 	// Live telemetry handles, resolved once at construction; nil while
 	// telemetry is disabled (one compare per emit, zero allocations).
 	tmInvals *telemetry.Counter
@@ -72,61 +80,11 @@ type System struct {
 	tmInvFan *telemetry.Histogram
 }
 
-// tilePort is one tile's execution context: the engine, observer, stats
-// registry, tracer and message pool its handlers must use. In serial
-// mode every port shares the machine-wide instances; after SetSharding
-// each port carries shard-local handles, so the protocol hot paths never
-// touch another shard's mutable state. Every coherence handler runs on
-// the shard owning its tile (L1 handlers at the cache's tile, directory
-// handlers at the home bank's tile), which is what makes the port's
-// state single-shard by construction.
-type tilePort struct {
-	sys   *System
-	node  noc.NodeID
-	eng   *sim.Engine
-	obs   Observer
-	stats *sim.Stats
-	tr    *obs.Tracer
-	pool  *msgPool
-	// hInvLat is the lazily resolved invalidation-latency histogram of
-	// this port's stats registry.
-	hInvLat *sim.Histogram
-}
-
-// msgPool recycles message events and payload buffers. One pool per
-// shard (one total in serial mode): a pool is only touched by the shard
-// executing its tiles' handlers, so it needs no locking. Events and
-// buffers may be allocated from one shard's pool and recycled into
-// another's — free slots migrate, which is harmless.
-type msgPool struct {
-	lineWords uint
-	// bufFree recycles transient line-sized payload buffers (data message
-	// bodies, writeback copies). Buffers are returned after the receiver
-	// has copied them into its own storage; long-lived images never come
-	// from here. PutM payloads alias the sender's wb buffer and must not
-	// be pooled.
-	bufFree [][]uint64
-	// wordSlab carves long-lived line images/data arrays out of large
-	// chunks so each resident line does not cost its own allocation.
-	wordSlab []uint64
-	// evtFree recycles in-flight message events (see msgEvt).
-	evtFree []*msgEvt
-}
-
-// SetTracer attaches (or detaches, with nil) an event tracer. Serial
-// mode only: SetSharding installs per-tile tracers and must not be
-// followed by SetTracer.
-func (s *System) SetTracer(tr *obs.Tracer) {
-	s.tr = tr
-	for i := range s.ports {
-		s.ports[i].tr = tr
-	}
-}
+// SetTracer attaches (or detaches, with nil) an event tracer.
+func (s *System) SetTracer(tr *obs.Tracer) { s.tr = tr }
 
 // SetProfile enables (or disables) per-tile cycle attribution. Each
-// tile's L1 and home bank get their own accumulator; counters bind
-// lazily against the port's stats registry, so enabling before or after
-// SetSharding both work (the registry is re-resolved on change).
+// tile's L1 and home bank get their own accumulator.
 func (s *System) SetProfile(on bool) {
 	for i := range s.l1s {
 		if on {
@@ -139,57 +97,24 @@ func (s *System) SetProfile(on bool) {
 	}
 }
 
-// SetSharding repoints every tile's port at shard-local handles: engOf,
-// obsOf, statsOf and trOf give each tile its shard's engine, observer,
-// stats registry and tracer (trOf may be nil when tracing is off).
-// Message pools are rebuilt one per shard (shardOf maps tile to shard).
-// Must be called before any simulated traffic.
-func (s *System) SetSharding(shardOf []int, engOf []*sim.Engine, obsOf []Observer, statsOf []*sim.Stats, trOf []*obs.Tracer) {
-	if len(shardOf) != s.cfg.Nodes || len(engOf) != s.cfg.Nodes ||
-		len(obsOf) != s.cfg.Nodes || len(statsOf) != s.cfg.Nodes {
-		panic("coherence: sharding tables must cover every tile")
-	}
-	pools := make(map[int]*msgPool)
-	for i := range s.ports {
-		p := &s.ports[i]
-		pool := pools[shardOf[i]]
-		if pool == nil {
-			pool = &msgPool{lineWords: s.lineWords}
-			pools[shardOf[i]] = pool
-		}
-		p.eng = engOf[i]
-		p.obs = obsOf[i]
-		if p.obs == nil {
-			p.obs = NopObserver{}
-		}
-		p.stats = statsOf[i]
-		p.tr = nil
-		if trOf != nil {
-			p.tr = trOf[i]
-		}
-		p.pool = pool
-		p.hInvLat = nil
-	}
-}
-
 // traceMESI emits one L1 line-state transition. Callers guard with
-// `p.tr != nil` so the disabled path costs a single compare.
-func (p *tilePort) traceMESI(pid int, l cache.Line, old, new cache.State) {
-	p.tr.MESI(pid, int64(l), int64(p.eng.Now()), uint8(old), uint8(new))
+// `sys.tr != nil` so the disabled path costs a single compare.
+func (s *System) traceMESI(pid int, l cache.Line, old, new cache.State) {
+	s.tr.MESI(pid, int64(l), int64(s.eng.Now()), uint8(old), uint8(new))
 }
 
 // observeInvLatency samples one completed invalidation-ack epoch.
-func (p *tilePort) observeInvLatency(d sim.Cycle) {
-	if p.sys.tmInvLat != nil {
-		p.sys.tmInvLat.Observe(int64(d))
+func (s *System) observeInvLatency(d sim.Cycle) {
+	if s.tmInvLat != nil {
+		s.tmInvLat.Observe(int64(d))
 	}
-	if p.stats == nil {
+	if s.stats == nil {
 		return
 	}
-	if p.hInvLat == nil {
-		p.hInvLat = p.stats.Histogram("coherence.inv_ack_latency")
+	if s.hInvLat == nil {
+		s.hInvLat = s.stats.Histogram("coherence.inv_ack_latency")
 	}
-	p.hInvLat.Observe(int64(d))
+	s.hInvLat.Observe(int64(d))
 }
 
 // countInvalidations records one write epoch invalidating fan sharers.
@@ -220,11 +145,6 @@ func NewSystem(eng *sim.Engine, mesh *noc.Mesh, cfg Config, stats *sim.Stats, ob
 	s.tmInvals = telemetry.C("pacifier_coherence_invalidations_total", "Sharer invalidations sent by the directory.")
 	s.tmInvLat = telemetry.H("pacifier_coherence_inv_ack_latency_cycles", "Invalidation-ack epoch latency in cycles.")
 	s.tmInvFan = telemetry.H("pacifier_coherence_invalidation_fanout_sharers", "Sharers invalidated per write epoch.")
-	pool := &msgPool{lineWords: s.lineWords}
-	s.ports = make([]tilePort, cfg.Nodes)
-	for i := range s.ports {
-		s.ports[i] = tilePort{sys: s, node: noc.NodeID(i), eng: eng, obs: obs, stats: stats, pool: pool}
-	}
 	for i := 0; i < cfg.Nodes; i++ {
 		s.homes = append(s.homes, newHome(s, noc.NodeID(i)))
 	}
@@ -294,53 +214,42 @@ func (s *System) ReadCoherent(a Addr) uint64 {
 }
 
 // Quiesced reports whether no coherence transaction is in flight anywhere.
-// Serial mode: reads the (single) engine's pending count. The sharded
-// machine combines TileIdle with the shard group's own pending totals.
 func (s *System) Quiesced() bool {
 	for i := range s.homes {
-		if !s.TileIdle(i) {
+		if s.homes[i].busyCount != 0 || s.l1s[i].nMSHR != 0 || s.l1s[i].nWB != 0 {
 			return false
 		}
 	}
 	return s.eng.Pending() == 0
 }
 
-// TileIdle reports whether tile i's home bank and L1 controller hold no
-// in-flight transaction state. It reads only tile-local fields, so a
-// shard may evaluate it for its own tiles while other shards run.
-func (s *System) TileIdle(i int) bool {
-	return s.homes[i].busyCount == 0 && s.l1s[i].nMSHR == 0 && s.l1s[i].nWB == 0
-}
-
 // getBuf returns a zeroed-length line-sized scratch buffer for a message
 // payload. Pair with putBuf once the contents have been copied out.
-func (p *tilePort) getBuf() []uint64 {
-	pl := p.pool
-	if n := len(pl.bufFree); n > 0 {
-		b := pl.bufFree[n-1]
-		pl.bufFree = pl.bufFree[:n-1]
+func (s *System) getBuf() []uint64 {
+	if n := len(s.bufFree); n > 0 {
+		b := s.bufFree[n-1]
+		s.bufFree = s.bufFree[:n-1]
 		return b
 	}
-	return make([]uint64, pl.lineWords)
+	return make([]uint64, s.lineWords)
 }
 
 // putBuf recycles a buffer obtained from getBuf.
-func (p *tilePort) putBuf(b []uint64) {
+func (s *System) putBuf(b []uint64) {
 	if b != nil {
-		p.pool.bufFree = append(p.pool.bufFree, b)
+		s.bufFree = append(s.bufFree, b)
 	}
 }
 
 // newLineWords carves a line-sized word array from the slab. The result
 // is long-lived (a cache data image); it is never recycled.
-func (p *tilePort) newLineWords() []uint64 {
-	pl := p.pool
-	n := int(pl.lineWords)
-	if len(pl.wordSlab) < n {
-		pl.wordSlab = make([]uint64, 1024*n)
+func (s *System) newLineWords() []uint64 {
+	n := int(s.lineWords)
+	if len(s.wordSlab) < n {
+		s.wordSlab = make([]uint64, 1024*n)
 	}
-	w := pl.wordSlab[:n:n]
-	pl.wordSlab = pl.wordSlab[n:]
+	w := s.wordSlab[:n:n]
+	s.wordSlab = s.wordSlab[n:]
 	return w
 }
 

@@ -32,14 +32,10 @@ type Options struct {
 	// Tracer, when non-nil, receives record-side structured events
 	// from every layer of the machine and every attached recorder.
 	Tracer *obs.Tracer
-	// Shards > 0 runs the machine on the conservative parallel engine
-	// with that many shards (0 = classic serial engine). Results are
-	// bit-identical at every shard count.
-	Shards int
 	// ProfileCycles enables the cycle-accounting profiler: every layer
 	// of the machine and every recorder attributes stall and service
 	// cycles to prof.* counters in the run's stats registry (see
-	// internal/prof). Totals are byte-identical serial and sharded.
+	// internal/prof).
 	ProfileCycles bool
 }
 
@@ -98,14 +94,7 @@ func Record(w *trace.Workload, opts Options, modes ...record.Mode) (*RunResult, 
 	mcfg.Seed = opts.Seed
 	mcfg.Mem.Atomic = opts.Atomic
 	mcfg.Tracer = opts.Tracer
-	mcfg.Shards = opts.Shards
 	mcfg.Profile = opts.ProfileCycles
-	if opts.Shards > 0 {
-		// The sharded machine defers observer calls to window barriers,
-		// so pending-window queries (which steer the protocol) are
-		// answered from a live mirror with the recorders' CBF sizing.
-		mcfg.LivePW = record.NewPWMirror(n, record.DefaultConfig(n, modes[0]).PWSize)
-	}
 
 	// Build the machine first to get the shared engine, then the
 	// recorders, then attach the observer. machine.New needs the
@@ -123,7 +112,7 @@ func Record(w *trace.Workload, opts Options, modes ...record.Mode) (*RunResult, 
 		}
 		rcfg.Tracer = opts.Tracer
 		rcfg.Profile = opts.ProfileCycles
-		recs[i] = record.NewRecorder(rcfg, m.Clock(), m.Stats)
+		recs[i] = record.NewRecorder(rcfg, m.Eng, m.Stats)
 	}
 	fo.recs = recs
 

@@ -299,7 +299,7 @@ func recordDirect(t *testing.T, w *trace.Workload, opts Options, mode record.Mod
 	}
 	rcfg := record.DefaultConfig(n, mode)
 	rcfg.MaxChunkOps = opts.MaxChunkOps
-	obs.Recorder = record.NewRecorder(rcfg, m.Clock(), m.Stats)
+	obs.Recorder = record.NewRecorder(rcfg, m.Eng, m.Stats)
 	if err := m.Run(opts.MaxCycles); err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,5 @@
 package cpu
 
-// Barrier is the coordination interface a core arrives at. BarrierHub is
-// the serial implementation; the sharded machine substitutes a deferring
-// hub that captures arrivals shard-locally and applies them in global
-// (cycle, pid) order at window barriers.
-type Barrier interface {
-	// Arrive registers a core at barrier id; resume runs when all cores
-	// have arrived (synchronously for the last arriver in the serial
-	// hub).
-	Arrive(id int, resume func())
-}
-
 // BarrierHub coordinates trace-level barriers across the cores of one
 // machine. A core arrives at barrier id once its window and store buffer
 // have drained; when every core has arrived, all waiters resume on the

@@ -88,7 +88,7 @@ type Core struct {
 	l1   *coherence.L1
 	obs  Observer
 	rng  *sim.RNG
-	hub  Barrier
+	hub  *BarrierHub
 	prog trace.Thread
 
 	pc     int
@@ -178,7 +178,7 @@ func (c *Core) SetProfile(on bool) {
 // Cores must be built in ascending pid order per engine. rng must be a
 // dedicated stream for this core.
 func NewCore(pid int, cfg Config, eng *sim.Engine, l1 *coherence.L1,
-	prog trace.Thread, hub Barrier, obs Observer, rng *sim.RNG) *Core {
+	prog trace.Thread, hub *BarrierHub, obs Observer, rng *sim.RNG) *Core {
 	if obs == nil {
 		obs = NopObserver{}
 	}
@@ -214,7 +214,7 @@ func NewCore(pid int, cfg Config, eng *sim.Engine, l1 *coherence.L1,
 	c.storeDoneFn = c.storeDone
 	c.rmwUpdateFn = func(old uint64) (uint64, bool) { return 1, old == 0 }
 	c.rmwDoneFn = c.rmwDone
-	c.sid = eng.RegisterPID(c, pid)
+	c.sid = eng.Register(c)
 	return c
 }
 

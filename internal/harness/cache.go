@@ -47,9 +47,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, hash+".json")
 }

@@ -71,12 +71,6 @@ type JobSpec struct {
 	Atomic bool `json:"atomic"`
 	// MaxChunkOps bounds chunk size (0 = core default).
 	MaxChunkOps int64 `json:"max_chunk_ops,omitempty"`
-	// Shards runs the simulation on the parallel sharded engine
-	// (0 = classic serial engine). Results are bit-identical at every
-	// shard count, but the knob is still part of the spec hash
-	// (omitempty keeps pre-existing serial hashes stable) so cached
-	// results name the engine that produced them.
-	Shards int `json:"shards,omitempty"`
 	// Modes are the recorder modes, by figure-style name ("karma",
 	// "vol", "gra", ...), all recorded simultaneously on one execution
 	// so their logs are directly comparable.
@@ -239,8 +233,8 @@ type Options struct {
 	Logger *slog.Logger
 
 	// Run overrides job execution (nil = Execute, or ExecuteTraced when
-	// TraceDir is set). Tests and the distributed worker's fault
-	// injection hook use it; everything else should leave it nil.
+	// TraceDir is set). Tests and the bench module's per-job timing
+	// use it; everything else should leave it nil.
 	Run func(JobSpec) (*Result, error)
 }
 
@@ -443,10 +437,6 @@ type Summary struct {
 	// defined as 0 — never NaN — when the sweep was interrupted before
 	// any job completed, so the JSONL summary record stays valid JSON.
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// DistWorkers is the number of worker processes a distributed
-	// sweep ran across (0 for single-process sweeps; set by the CLI
-	// from the coordinator's status).
-	DistWorkers int `json:"dist_workers,omitempty"`
 }
 
 // Summarize reduces a sweep's outcomes to its Summary. Interrupted jobs
@@ -484,9 +474,6 @@ func (s Summary) String() string {
 		s.Total, s.Succeeded, s.Failed, s.CacheHits, s.CacheMisses)
 	if s.Interrupted > 0 {
 		line += fmt.Sprintf(", %d interrupted", s.Interrupted)
-	}
-	if s.DistWorkers > 0 {
-		line += fmt.Sprintf(", %d workers", s.DistWorkers)
 	}
 	return line
 }

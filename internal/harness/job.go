@@ -89,7 +89,6 @@ func executeWith(spec JobSpec, tr *obs.Tracer, traceDir string) (*Result, error)
 	copts.Seed = spec.Seed
 	copts.Atomic = spec.Atomic
 	copts.Tracer = tr
-	copts.Shards = spec.Shards
 	copts.ProfileCycles = spec.ProfileCycles
 	if spec.MaxChunkOps > 0 {
 		copts.MaxChunkOps = spec.MaxChunkOps

@@ -30,9 +30,8 @@ func TestSummaryHitRateGuardsZeroCompleted(t *testing.T) {
 	}
 }
 
-// TestSummaryHitRateAndDistWorkers covers the normal rate path and
-// the distributed worker count's presence in the one-line rendering.
-func TestSummaryHitRateAndDistWorkers(t *testing.T) {
+// TestSummaryHitRate covers the normal rate path.
+func TestSummaryHitRate(t *testing.T) {
 	specs := testSpecs()[:4]
 	outcomes := []Outcome{
 		{Spec: specs[0], Hash: specs[0].Hash(), Result: &Result{}, Cached: true},
@@ -43,12 +42,5 @@ func TestSummaryHitRateAndDistWorkers(t *testing.T) {
 	sum := Summarize(outcomes)
 	if sum.CacheHitRate != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5 (2 hits / 4 completed)", sum.CacheHitRate)
-	}
-	if strings.Contains(sum.String(), "workers") {
-		t.Fatalf("single-process summary mentions workers: %q", sum.String())
-	}
-	sum.DistWorkers = 3
-	if !strings.Contains(sum.String(), "3 workers") {
-		t.Fatalf("distributed summary omits the worker count: %q", sum.String())
 	}
 }

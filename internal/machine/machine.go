@@ -48,17 +48,6 @@ type Config struct {
 	// layer (NoC, coherence, cores). Nil = tracing off: the hot paths
 	// pay exactly one pointer compare each.
 	Tracer *obs.Tracer
-	// Shards selects parallel execution: the machine's tiles are
-	// partitioned into this many shards, each stepped by its own
-	// goroutine under the conservative lookahead protocol (see
-	// machine_sharded.go). 0 keeps the classic serial engine; 1 runs
-	// the sharded machinery on a single shard (the apples-to-apples
-	// baseline for the parallel overhead).
-	Shards int
-	// LivePW supplies live pending-window answers for the sharded
-	// machine (see PWProbe). Ignored in serial mode; nil means every
-	// query answers "no performed load" (matching NopObserver).
-	LivePW PWProbe
 	// Profile enables cycle accounting: every layer attributes stall and
 	// service cycles to named prof.* counters (see internal/prof). Off,
 	// the hot paths pay one nil compare each.
@@ -79,25 +68,14 @@ func DefaultConfig(n int) Config {
 // Machine is one assembled simulation instance.
 type Machine struct {
 	Cfg   Config
-	Eng   *sim.Engine // serial engine; nil when sharded
+	Eng   *sim.Engine
 	Stats *sim.Stats
 	Mesh  *noc.Mesh
 	Sys   *coherence.System
 	Cores []*cpu.Core
-	Hub   *cpu.BarrierHub // serial hub; nil when sharded
+	Hub   *cpu.BarrierHub
 
-	shard    *shardState // nil in serial mode
 	workload *trace.Workload
-}
-
-// Clock returns the simulated-time source observers and recorders must
-// read: the engine in serial mode, or the replay clock that tracks the
-// serial-order position of deferred observer calls in sharded mode.
-func (m *Machine) Clock() sim.Clock {
-	if m.shard != nil {
-		return m.shard.clockSrc
-	}
-	return m.Eng
 }
 
 // New builds a machine executing workload w, reporting to obs (nil for
@@ -112,9 +90,6 @@ func New(cfg Config, w *trace.Workload, obs Observer) (*Machine, error) {
 	}
 	if obs == nil {
 		obs = NopObserver{}
-	}
-	if cfg.Shards > 0 {
-		return newSharded(cfg, w, obs)
 	}
 	eng := sim.NewEngine()
 	stats := sim.NewStats()
@@ -161,13 +136,7 @@ func (m *Machine) Done() bool {
 // Run executes until completion or limit cycles, returning an error on
 // timeout (deadlock or livelock in the workload or protocol).
 func (m *Machine) Run(limit sim.Cycle) error {
-	ok := false
-	if m.shard != nil {
-		ok = m.shard.run(limit)
-	} else {
-		ok = m.Eng.RunUntil(m.Done, limit)
-	}
-	if ok {
+	if m.Eng.RunUntil(m.Done, limit) {
 		return nil
 	}
 	states := ""
@@ -181,12 +150,7 @@ func (m *Machine) Run(limit sim.Cycle) error {
 }
 
 // Cycles returns the elapsed simulated time.
-func (m *Machine) Cycles() sim.Cycle {
-	if m.shard != nil {
-		return m.shard.group.Final()
-	}
-	return m.Eng.Now()
-}
+func (m *Machine) Cycles() sim.Cycle { return m.Eng.Now() }
 
 // Records returns core pid's functional execution outcomes.
 func (m *Machine) Records(pid int) []cpu.ExecRecord { return m.Cores[pid].Records() }

@@ -67,13 +67,6 @@ type Mesh struct {
 	// message. The nil check is the entire disabled-tracing cost.
 	tr *obs.Tracer
 
-	// Sharded-execution routing (nil in serial mode): per-node engine,
-	// stats registry, counter handles and tracer, all owned by the
-	// node's shard so the hot Send path mutates only shard-local state.
-	group   *sim.ShardGroup
-	engOf   []*sim.Engine
-	perNode []meshNodeState
-
 	// Cycle accounting (nil when disabled): one accumulator per sending
 	// node, charging each message's full mesh latency to its source tile.
 	lat []*prof.Lat
@@ -89,14 +82,6 @@ func (m *Mesh) SetProfile(on bool) {
 	for i := range m.lat {
 		m.lat[i] = prof.NewLat(i)
 	}
-}
-
-// meshNodeState is the shard-owned per-node slice of Send's side
-// effects.
-type meshNodeState struct {
-	stats                         *sim.Stats
-	cMessages, cFlits, cHopCycles *sim.Counter
-	tr                            *obs.Tracer
 }
 
 // SetTracer attaches (or detaches, with nil) an event tracer.
@@ -121,41 +106,6 @@ func New(eng *sim.Engine, cfg Config, stats *sim.Stats) *Mesh {
 		m.lastArrival[i] = make([]sim.Cycle, cfg.Nodes)
 	}
 	return m
-}
-
-// SetSharding switches the mesh to sharded delivery: messages from node
-// i are timed by engOf[i] (its shard's engine) and delivered through the
-// group, which routes cross-shard sends into deterministic inboxes.
-// statsOf and trOf carry each node's shard-local stats registry and
-// tracer (trOf may be nil for tracing off). Must be called before any
-// Send.
-func (m *Mesh) SetSharding(group *sim.ShardGroup, engOf []*sim.Engine, statsOf []*sim.Stats, trOf []*obs.Tracer) {
-	if len(engOf) != m.cfg.Nodes || len(statsOf) != m.cfg.Nodes {
-		panic("noc: sharding tables must cover every node")
-	}
-	m.group = group
-	m.engOf = engOf
-	m.perNode = make([]meshNodeState, m.cfg.Nodes)
-	for i := range m.perNode {
-		ns := &m.perNode[i]
-		ns.stats = statsOf[i]
-		if ns.stats != nil {
-			ns.cMessages = ns.stats.Counter("noc.messages")
-			ns.cFlits = ns.stats.Counter("noc.flits")
-			ns.cHopCycles = ns.stats.Counter("noc.hop_cycles")
-		}
-		if trOf != nil {
-			ns.tr = trOf[i]
-		}
-	}
-}
-
-// MinCrossTileLatency returns the smallest latency any message between
-// two distinct tiles can have: one hop plus the router overhead. It is
-// the conservative lookahead bound for sharded execution — a message
-// sent at cycle T cannot execute on another tile before T plus this.
-func MinCrossTileLatency(cfg Config) sim.Cycle {
-	return cfg.RouterOverhead + cfg.HopLatency
 }
 
 // Dimensions returns the most square (width >= height) factorization of n,
@@ -210,10 +160,6 @@ func (m *Mesh) Latency(a, b NodeID, flits int) sim.Cycle {
 // FIFO order between each ordered (src, dst) pair: a message can never
 // overtake an earlier message on the same pair, even if shorter.
 func (m *Mesh) Send(src, dst NodeID, flits int, fn func()) {
-	if m.group != nil {
-		m.sendSharded(src, dst, flits, fn)
-		return
-	}
 	arrive := m.eng.Now() + m.Latency(src, dst, flits)
 	if prev := m.lastArrival[src][dst]; arrive <= prev {
 		arrive = prev + 1
@@ -244,39 +190,6 @@ func (m *Mesh) Send(src, dst NodeID, flits int, fn func()) {
 		m.tr.NoCRecv(int(src), int(dst), int64(flits), int64(arrive), lat)
 	}
 	m.eng.After(arrive-m.eng.Now(), fn)
-}
-
-// sendSharded is Send for sharded execution. Every protocol message is
-// injected by the component living on node src, which executes on src's
-// shard — so the lastArrival row, counters and tracer touched here are
-// all owned by the running shard and need no locks.
-func (m *Mesh) sendSharded(src, dst NodeID, flits int, fn func()) {
-	eng := m.engOf[src]
-	now := eng.Now()
-	arrive := now + m.Latency(src, dst, flits)
-	if prev := m.lastArrival[src][dst]; arrive <= prev {
-		arrive = prev + 1
-	}
-	m.lastArrival[src][dst] = arrive
-	ns := &m.perNode[src]
-	if m.lat != nil {
-		m.lat[src].Add(ns.stats, prof.NoC, int64(m.Latency(src, dst, flits)))
-	}
-	if ns.stats != nil {
-		ns.cMessages.Value++
-		ns.cFlits.Value += int64(flits)
-		ns.cHopCycles.Value += int64(m.Hops(src, dst)) * int64(m.cfg.HopLatency)
-	}
-	if m.tmMessages != nil {
-		m.tmMessages.Add(1)
-		m.tmFlits.Add(int64(flits))
-		m.tmLatency.Observe(int64(arrive - now))
-	}
-	if ns.tr != nil {
-		ns.tr.NoCSend(int(src), int(dst), int64(flits), int64(now), int64(arrive-now))
-		ns.tr.NoCRecv(int(src), int(dst), int64(flits), int64(arrive), int64(arrive-now))
-	}
-	m.group.Send(eng, m.engOf[dst], arrive, fn)
 }
 
 // Nodes returns the number of tiles.

@@ -138,9 +138,6 @@ type Tracer struct {
 	dropped int64
 	// Live telemetry (nil while telemetry is disabled).
 	tmEmitted, tmDropped *telemetry.Counter
-	// hook, when non-nil, diverts every Emit to the callback instead of
-	// the buffer (see NewCaptured). The callback owns thread-safety.
-	hook func(Event)
 }
 
 // New returns an enabled tracer. The label names the trace (it becomes
@@ -152,18 +149,6 @@ func New(label string) *Tracer {
 		tmEmitted: telemetry.C("pacifier_obs_events_emitted_total", "Trace events buffered by tracers."),
 		tmDropped: telemetry.C("pacifier_obs_events_dropped_total", "Trace events dropped at a tracer's buffer limit."),
 	}
-}
-
-// NewCaptured returns a tracer that hands every emitted event to hook
-// instead of buffering it. The sharded machine gives each shard one
-// captured tracer whose hook tags events with their execution position
-// and defers them; they are replayed into the real tracer in serial
-// order at sync barriers. The hook is called without any locking: a
-// captured tracer must only be used from one shard's goroutine.
-// Telemetry counts are deliberately not bumped here — the deferred
-// replay into the real tracer counts each event exactly once.
-func NewCaptured(label string, hook func(Event)) *Tracer {
-	return &Tracer{label: label, hook: hook}
 }
 
 // SetLimit caps the event buffer at n events (0 restores unbounded).
@@ -198,10 +183,6 @@ func (t *Tracer) Label() string {
 // Emit appends one event. Safe on a nil receiver (no-op).
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
-		return
-	}
-	if t.hook != nil {
-		t.hook(e)
 		return
 	}
 	t.mu.Lock()

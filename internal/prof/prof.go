@@ -5,12 +5,10 @@
 // full stalls, barrier wait, and recorder-induced work — and accumulates
 // them per core and per layer into the existing sim.Stats registry.
 //
-// Attribution sites are the same deterministic protocol points the
-// sharded engine already proves byte-identical to the serial engine
-// (fills, home dequeues, message sends, barrier releases), and every
-// quantity is a counter add, so the per-shard registries merge through
-// Stats.MergeFrom into totals that are byte-identical serial and at any
-// shard count.
+// Attribution sites are deterministic protocol points (fills, home
+// dequeues, message sends, barrier releases), and every quantity is a
+// counter add, so the totals of a run are as reproducible as its logs:
+// the determinism fixture pins them next to the log hashes.
 //
 // Like the obs tracer, the layer is provably zero-cost when disabled: a
 // nil *Lat / *RecLat receiver reduces every attribution call to one
@@ -130,10 +128,7 @@ func RecorderCounterName(pid int, mode string) string {
 // the disabled profiler: Add is one pointer compare.
 //
 // Counters resolve lazily against the stats registry passed to Add and
-// re-resolve when the registry changes — the sharded machine repoints
-// tile ports at shard-local registries before traffic, and merges them
-// into the run registry at the end, so lazy binding keeps one code path
-// for both engines.
+// re-resolve when a later Add passes a different registry.
 type Lat struct {
 	pid   int
 	bound *sim.Stats

@@ -68,10 +68,9 @@ func TestEnabledSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLatRebindsAcrossRegistries mirrors the sharded machine's behavior:
-// the same Lat first attributes into a shard-local registry and then into
-// the merged run registry; each must get exactly what was added while it
-// was bound.
+// TestLatRebindsAcrossRegistries: the same Lat attributes into two
+// registries in turn; each must get exactly what was added while it was
+// bound.
 func TestLatRebindsAcrossRegistries(t *testing.T) {
 	a, b := sim.NewStats(), sim.NewStats()
 	l := NewLat(2)

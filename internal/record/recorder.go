@@ -58,7 +58,7 @@ var debugPromised func(pid int, dinst SN, src relog.ChunkRef, srcTS int64)
 type Recorder struct {
 	cfg   Config
 	strat Strategy
-	eng   sim.Clock
+	eng   *sim.Engine
 	cores []*coreState
 	vol   *scvd.Volition
 	races *scvd.RaceSet
@@ -107,7 +107,7 @@ func (r *Recorder) inc(cp **sim.Counter, name string) {
 
 // NewRecorder builds a recorder attached to the machine's engine (for
 // timestamps on chunk durations).
-func NewRecorder(cfg Config, eng sim.Clock, stats *sim.Stats) *Recorder {
+func NewRecorder(cfg Config, eng *sim.Engine, stats *sim.Stats) *Recorder {
 	if cfg.Cores <= 0 {
 		panic("record: need at least one core")
 	}

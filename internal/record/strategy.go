@@ -39,7 +39,7 @@ import "pacifier/internal/trace"
 //     a store to a carrier chunk).
 //
 // The six pre-existing pairings are pinned byte-identical by the
-// 20-config golden-hash fixture (fixture_test.go) at shard counts 1-4.
+// 20-config golden-hash fixture (fixture_test.go).
 type Strategy interface {
 	BoundaryPolicy
 	LogPolicy

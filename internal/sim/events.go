@@ -9,8 +9,7 @@ type Cycle int64
 type Event struct {
 	At  Cycle
 	Fn  func()
-	seq uint64 // insertion order, breaks ties deterministically (serial)
-	key *EvKey // post-site key, same order shard-independently (sharded)
+	seq uint64 // insertion order, breaks ties deterministically
 }
 
 // ringSize is the calendar-queue horizon in cycles. Nearly every delay in
@@ -19,22 +18,17 @@ type Event struct {
 // cold. Must be a power of two.
 const ringSize = 512
 
-// eventHeap orders far-future events by (At, seq) in serial mode and
-// (At, key) in sharded mode, so that simultaneous events run in serial
-// insertion order. It holds events by value with concrete (non-interface)
-// push/pop: the container/heap API would box every Event into an `any`
-// on both Push and Pop, allocating on the spill path. The backing array
-// is retained across drain/refill cycles.
+// eventHeap orders far-future events by (At, seq), so that simultaneous
+// events run in insertion order. It holds events by value with concrete
+// (non-interface) push/pop: the container/heap API would box every Event
+// into an `any` on both Push and Pop, allocating on the spill path. The
+// backing array is retained across drain/refill cycles.
 type eventHeap struct {
-	ev      []Event
-	sharded bool
+	ev []Event
 }
 
 func (h *eventHeap) less(i, j int) bool {
 	a, b := &h.ev[i], &h.ev[j]
-	if h.sharded {
-		return evLess(a, b)
-	}
 	if a.At != b.At {
 		return a.At < b.At
 	}
@@ -61,7 +55,6 @@ func (h *eventHeap) pop() Event {
 	h.ev[0], h.ev[n] = h.ev[n], h.ev[0]
 	e := h.ev[n]
 	h.ev[n].Fn = nil
-	h.ev[n].key = nil
 	h.ev = h.ev[:n]
 	// Sift the swapped-in root down.
 	i := 0
@@ -98,10 +91,6 @@ func (h *eventHeap) pop() Event {
 // The execution order contract is unchanged from the heap-only engine:
 // events run in (At, seq) order, i.e. same-cycle events in insertion
 // order.
-//
-// An engine either runs serially (sh == nil, the default) or as one
-// shard of a ShardGroup (see shard.go). The serial paths are untouched
-// by sharding: every sharded branch hides behind one nil check.
 type Engine struct {
 	now     Cycle
 	nextSeq uint64
@@ -111,39 +100,10 @@ type Engine struct {
 	// buckets[c & (ringSize-1)] holds the events for cycle c, for every c
 	// in [now, now+ringSize). Bucket order is insertion order: far events
 	// migrate in (in seq order) before any near event for the same cycle
-	// can be appended, so append order equals seq order. In sharded mode
-	// the invariant is bucket order == key order; appends preserve it
-	// (see tickShard) and cross-shard injections merge-insert.
+	// can be appended, so append order equals seq order.
 	buckets [ringSize][]Event
 	far     eventHeap // events at/beyond now+ringSize
 	pending int
-
-	sh *shardCtx // nil in serial mode
-}
-
-// shardCtx is the per-shard execution context: which executor is
-// currently running (for post-site keys and capture positions) and the
-// shard's window/truncation state.
-type shardCtx struct {
-	group *ShardGroup
-	id    int
-
-	phase  uint8 // phaseStepper / phaseEvent / phaseOutside
-	curPID int32 // executing stepper's global pid
-	curKey *EvKey
-	opIdx  int32 // per-executor post/capture counter
-	outIdx int32 // counter for outside-executor posts
-
-	stepperPID []int32 // global pid per registered stepper
-
-	truncated bool // stop after the current cycle (barrier arrival)
-	catchUp   bool // posts must merge-insert (out-of-band Step replay)
-
-	// keySlab carves post-site keys in batches: one allocation per 128
-	// posts instead of one each. Keys are written once here and only
-	// read afterwards, so slabs may outlive the shard's window (cross-
-	// shard events and capture positions keep referencing them).
-	keySlab []EvKey
 }
 
 // Stepper is a component clocked by the cycle, in registration order.
@@ -173,23 +133,10 @@ func (e *Engine) Now() Cycle { return e.now }
 
 // Register adds an awake stepper and returns its index, the handle for
 // Sleep and Wake. Steppers run before same-cycle events, in
-// registration order. In sharded mode the stepper's global pid defaults
-// to its registration index; use RegisterPID when shard registration
-// order differs from global pid order.
+// registration order.
 func (e *Engine) Register(s Stepper) int {
-	return e.RegisterPID(s, len(e.stepper))
-}
-
-// RegisterPID is Register for a stepper carrying its global pid, which
-// post-site keys and capture positions use so that the global stepper
-// order is the serial machine's pid order regardless of sharding.
-// Steppers must be registered in ascending pid order within a shard.
-func (e *Engine) RegisterPID(s Stepper, pid int) int {
 	e.stepper = append(e.stepper, s)
 	e.wake = append(e.wake, 0)
-	if e.sh != nil {
-		e.sh.stepperPID = append(e.sh.stepperPID, int32(pid))
-	}
 	return len(e.stepper) - 1
 }
 
@@ -206,56 +153,11 @@ func (e *Engine) Wake(i int) {
 	}
 }
 
-// newPostKey allocates the post-site key for an event posted now. Keys
-// are carved from the shard-local slab: identity comparisons (KeyCmp's
-// a == b) still hold because every key is a distinct slab slot.
-func (e *Engine) newPostKey() *EvKey {
-	sh := e.sh
-	if len(sh.keySlab) == 0 {
-		sh.keySlab = make([]EvKey, 128)
-	}
-	k := &sh.keySlab[0]
-	sh.keySlab = sh.keySlab[1:]
-	k.cycle = e.now
-	switch sh.phase {
-	case phaseStepper:
-		sh.opIdx++
-		k.pid, k.idx = sh.curPID, sh.opIdx
-	case phaseEvent:
-		sh.opIdx++
-		k.parent, k.idx = sh.curKey, sh.opIdx
-	default:
-		sh.outIdx++
-		k.pid, k.idx = -1, sh.outIdx
-	}
-	return k
-}
-
-// CapturePos returns the current execution position for tagging a
-// deferred observer/tracer call. It shares the per-executor counter with
-// event posts, so interleaved posts and captures stay totally ordered.
-func (e *Engine) CapturePos() CapPos {
-	sh := e.sh
-	sh.opIdx++
-	switch sh.phase {
-	case phaseStepper:
-		return CapPos{Cycle: e.now, phase: phaseStepper, pid: sh.curPID, idx: sh.opIdx}
-	case phaseEvent:
-		return CapPos{Cycle: e.now, phase: phaseEvent, key: sh.curKey, idx: sh.opIdx}
-	default:
-		return CapPos{Cycle: e.now, phase: phaseOutside, pid: -1, idx: sh.opIdx}
-	}
-}
-
 // After schedules fn to run delay cycles from now. A zero delay runs at
 // the end of the current cycle (after all steppers).
 func (e *Engine) After(delay Cycle, fn func()) {
 	if delay < 0 {
 		panic("sim: negative event delay")
-	}
-	if e.sh != nil {
-		e.insertKeyed(Event{At: e.now + delay, Fn: fn, key: e.newPostKey()})
-		return
 	}
 	e.nextSeq++
 	e.pending++
@@ -273,69 +175,15 @@ func (e *Engine) After(delay Cycle, fn func()) {
 	e.far.push(Event{At: at, Fn: fn, seq: e.nextSeq})
 }
 
-// insertKeyed places a keyed event (sharded mode). Ordinary posts append
-// to their bucket: a post made at cycle `now` carries the largest key of
-// any event currently in a near bucket, so appends keep buckets sorted.
-// Out-of-band posts (cross-shard injection at a barrier, barrier-release
-// catch-up) may carry keys older than bucket residents and merge-insert.
-func (e *Engine) insertKeyed(ev Event) {
-	if ev.At < e.now {
-		panic("sim: keyed event scheduled in the past")
-	}
-	if ev.At == e.now && e.sh.catchUp {
-		panic("sim: zero-delay post during barrier catch-up")
-	}
-	e.pending++
-	if ev.At-e.now >= ringSize {
-		e.far.push(ev)
-		return
-	}
-	e.migrate()
-	b := &e.buckets[ev.At&(ringSize-1)]
-	if n := len(*b); n == 0 || !e.sh.catchUp && !evLess(&ev, &(*b)[n-1]) {
-		*b = append(*b, ev)
-		return
-	}
-	// Merge-insert (rare): binary search for the insertion point.
-	lo, hi := 0, len(*b)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if evLess(&(*b)[mid], &ev) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	*b = append(*b, Event{})
-	copy((*b)[lo+1:], (*b)[lo:])
-	(*b)[lo] = ev
-}
-
 // migrate moves every spilled event whose cycle is within the horizon
 // into its calendar bucket. The heap pops in (At, seq) order and no near
 // event for a newly-reachable cycle can precede its migrated events, so
-// bucket append order stays seq order. In sharded mode a bucket may
-// already hold injected cross-shard events, so migration merge-inserts.
+// bucket append order stays seq order.
 func (e *Engine) migrate() {
 	horizon := e.now + ringSize - 1
 	for len(e.far.ev) > 0 && e.far.ev[0].At <= horizon {
 		ev := e.far.pop()
 		b := &e.buckets[ev.At&(ringSize-1)]
-		if e.sh != nil && len(*b) > 0 && evLess(&ev, &(*b)[len(*b)-1]) {
-			lo, hi := 0, len(*b)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if evLess(&(*b)[mid], &ev) {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			*b = append(*b, Event{})
-			copy((*b)[lo+1:], (*b)[lo:])
-			(*b)[lo] = ev
-			continue
-		}
 		*b = append(*b, ev)
 	}
 }
@@ -371,43 +219,6 @@ func (e *Engine) Tick() {
 	e.now++
 }
 
-// tickShard is Tick for one shard: identical structure, but it maintains
-// the executor context that post-site keys and capture positions read.
-func (e *Engine) tickShard() {
-	e.migrate()
-	sh := e.sh
-
-	sh.phase = phaseStepper
-	for i, s := range e.stepper {
-		if e.wake[i] > e.now {
-			continue
-		}
-		sh.curPID = sh.stepperPID[i]
-		sh.opIdx = 0
-		s.Step(e.now)
-	}
-
-	sh.phase = phaseEvent
-	b := &e.buckets[e.now&(ringSize-1)]
-	for i := 0; i < len(*b); i++ {
-		ev := &(*b)[i]
-		fn := ev.Fn
-		sh.curKey = ev.key
-		sh.opIdx = 0
-		e.pending--
-		fn()
-		// Release after running: a zero-delay post from fn compares its
-		// key against this slot's (the bucket tail) to stay sorted.
-		ev = &(*b)[i] // fn may have grown the bucket and moved it
-		ev.Fn = nil
-		ev.key = nil
-	}
-	*b = (*b)[:0]
-	sh.curKey = nil
-	sh.phase = phaseOutside
-	e.now++
-}
-
 // RunUntil ticks until pred returns true or limit cycles elapse. It
 // returns true if pred was satisfied. The limit guards against deadlocked
 // simulations in tests.
@@ -419,12 +230,4 @@ func (e *Engine) RunUntil(pred func() bool, limit Cycle) bool {
 		e.Tick()
 	}
 	return pred()
-}
-
-// Clock is the read-only view of simulated time. A serial run hands
-// components the *Engine itself; the sharded machine hands observers a
-// replay clock that tracks the cycle each deferred call originally
-// happened at.
-type Clock interface {
-	Now() Cycle
 }

@@ -88,44 +88,6 @@ func (s *Stats) GaugeMax(name string) int64 {
 	return 0
 }
 
-// MergeFrom folds another registry into this one: counters and histogram
-// buckets add (both are order-independent, so the merged totals equal a
-// serial run's), gauges take the component-wise maximum of value and
-// watermark. The sharded machine keeps one registry per shard for
-// capture-time increments and merges them into the main registry at the
-// end of the run.
-func (s *Stats) MergeFrom(o *Stats) {
-	for n, c := range o.counters {
-		s.Counter(n).Value += c.Value
-	}
-	for n, g := range o.gauges {
-		d := s.Gauge(n)
-		if g.Value > d.Value {
-			d.Value = g.Value
-		}
-		if g.Max > d.Max {
-			d.Max = g.Max
-		}
-	}
-	for n, h := range o.histograms {
-		d := s.Histogram(n)
-		if h.Count == 0 {
-			continue
-		}
-		if d.Count == 0 || h.Min < d.Min {
-			d.Min = h.Min
-		}
-		if h.Max > d.Max {
-			d.Max = h.Max
-		}
-		d.Count += h.Count
-		d.Sum += h.Sum
-		for i := range h.Buckets {
-			d.Buckets[i] += h.Buckets[i]
-		}
-	}
-}
-
 // Names returns all counter names in sorted order.
 func (s *Stats) Names() []string {
 	out := make([]string, 0, len(s.counters))

@@ -6,17 +6,10 @@ import (
 	"testing"
 )
 
-// forEachTick runs a sleep/wake scenario on a serial engine (Tick) and
-// on a one-shard group's engine (tickShard), which must agree.
-func forEachTick(t *testing.T, f func(t *testing.T, e *Engine, tick func())) {
-	t.Run("serial", func(t *testing.T) {
-		e := NewEngine()
-		f(t, e, e.Tick)
-	})
-	t.Run("shard", func(t *testing.T) {
-		e := NewShardGroup(1, 8).Engine(0)
-		f(t, e, e.tickShard)
-	})
+// onEngine runs a sleep/wake scenario on a fresh engine, as subtest
+// "serial".
+func onEngine(t *testing.T, f func(t *testing.T, e *Engine)) {
+	t.Run("serial", func(t *testing.T) { f(t, NewEngine()) })
 }
 
 func TestRegisterReturnsStepperIndex(t *testing.T) {
@@ -26,13 +19,10 @@ func TestRegisterReturnsStepperIndex(t *testing.T) {
 			t.Fatalf("Register returned %d, want %d", got, want)
 		}
 	}
-	if got := e.RegisterPID(stepFunc(func(Cycle) {}), 7); got != 3 {
-		t.Fatalf("RegisterPID returned %d, want 3", got)
-	}
 }
 
 func TestSleepingStepperSkippedUntilWakeCycle(t *testing.T) {
-	forEachTick(t, func(t *testing.T, e *Engine, tick func()) {
+	onEngine(t, func(t *testing.T, e *Engine) {
 		var got []Cycle
 		var id int
 		id = e.Register(stepFunc(func(now Cycle) {
@@ -42,7 +32,7 @@ func TestSleepingStepperSkippedUntilWakeCycle(t *testing.T) {
 			}
 		}))
 		for e.Now() < 10 {
-			tick()
+			e.Tick()
 		}
 		if want := []Cycle{0, 1, 2, 7, 8, 9}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("stepped at %v, want %v", got, want)
@@ -51,7 +41,7 @@ func TestSleepingStepperSkippedUntilWakeCycle(t *testing.T) {
 }
 
 func TestWakeFromEventStepsNextCycle(t *testing.T) {
-	forEachTick(t, func(t *testing.T, e *Engine, tick func()) {
+	onEngine(t, func(t *testing.T, e *Engine) {
 		var got []Cycle
 		var id int
 		id = e.Register(stepFunc(func(now Cycle) {
@@ -60,7 +50,7 @@ func TestWakeFromEventStepsNextCycle(t *testing.T) {
 		}))
 		e.After(5, func() { e.Wake(id) })
 		for e.Now() < 10 {
-			tick()
+			e.Tick()
 		}
 		if want := []Cycle{0, 6}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("stepped at %v, want %v", got, want)
@@ -71,7 +61,7 @@ func TestWakeFromEventStepsNextCycle(t *testing.T) {
 func TestWakeFromStepperFollowsRegistrationOrder(t *testing.T) {
 	// Stepper 1 wakes 0 and 2 during cycle 4's stepper phase: 2 has not
 	// had its turn yet and steps at 4; 0 already had it and steps at 5.
-	forEachTick(t, func(t *testing.T, e *Engine, tick func()) {
+	onEngine(t, func(t *testing.T, e *Engine) {
 		var got []string
 		var low, high int
 		low = e.Register(stepFunc(func(now Cycle) {
@@ -89,7 +79,7 @@ func TestWakeFromStepperFollowsRegistrationOrder(t *testing.T) {
 			e.Sleep(high, Never)
 		}))
 		for e.Now() < 8 {
-			tick()
+			e.Tick()
 		}
 		if want := []string{"low@0", "high@0", "high@4", "low@5"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("stepped %v, want %v", got, want)
@@ -98,7 +88,7 @@ func TestWakeFromStepperFollowsRegistrationOrder(t *testing.T) {
 }
 
 func TestWakeBeforeWakeCycleStepsAtOnce(t *testing.T) {
-	forEachTick(t, func(t *testing.T, e *Engine, tick func()) {
+	onEngine(t, func(t *testing.T, e *Engine) {
 		var got []Cycle
 		var id int
 		id = e.Register(stepFunc(func(now Cycle) {
@@ -109,12 +99,12 @@ func TestWakeBeforeWakeCycleStepsAtOnce(t *testing.T) {
 		}))
 		e.After(3, func() { e.Wake(id) })
 		for e.Now() < 6 {
-			tick()
+			e.Tick()
 		}
 		// Between ticks, too: the next tick steps it.
 		e.Sleep(id, 100)
 		e.Wake(id)
-		tick()
+		e.Tick()
 		if want := []Cycle{0, 4, 5, 6}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("stepped at %v, want %v", got, want)
 		}
@@ -122,7 +112,7 @@ func TestWakeBeforeWakeCycleStepsAtOnce(t *testing.T) {
 }
 
 func TestWakeNeverDelaysAnAwakeStepper(t *testing.T) {
-	forEachTick(t, func(t *testing.T, e *Engine, tick func()) {
+	onEngine(t, func(t *testing.T, e *Engine) {
 		var got []Cycle
 		var id int
 		id = e.Register(stepFunc(func(now Cycle) {
@@ -131,7 +121,7 @@ func TestWakeNeverDelaysAnAwakeStepper(t *testing.T) {
 		}))
 		e.After(1, func() { e.Wake(id) })
 		for e.Now() < 4 {
-			tick()
+			e.Tick()
 		}
 		if want := []Cycle{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("stepped at %v, want %v", got, want)

@@ -73,9 +73,6 @@ type Snapshot struct {
 	// throughput (-1 before anything finishes).
 	ETAMS int64     `json:"eta_ms"`
 	Jobs  []JobView `json:"jobs"`
-	// Dist is the distributed coordinator's view (workers, leases,
-	// reassignments); nil unless this process is a coordinator.
-	Dist *DistSnapshot `json:"dist,omitempty"`
 }
 
 // jobRec is the fleet's internal per-job record.

@@ -40,10 +40,8 @@ type Server struct {
 	ready atomic.Bool
 	start time.Time
 
-	mu         sync.Mutex
-	readyCheck func() bool
-	dist       func() *telemetry.DistSnapshot
-	debug      DebugSource
+	mu    sync.Mutex
+	debug DebugSource
 }
 
 // NewServer builds a server over a registry (may be nil: /metrics then
@@ -69,32 +67,6 @@ func NewServer(reg *telemetry.Registry, fleet *telemetry.Fleet) *Server {
 
 // SetReady flips /readyz between 200 and 503.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// SetReadyCheck gates /readyz on fn in addition to SetReady: the
-// server reports ready only while both agree. A distributed
-// coordinator uses this to stay not-ready until at least one live
-// worker is registered; standalone processes that never call it keep
-// the plain SetReady behaviour.
-func (s *Server) SetReadyCheck(fn func() bool) {
-	s.mu.Lock()
-	s.readyCheck = fn
-	s.mu.Unlock()
-}
-
-// SetDist attaches a distributed-coordinator status source; its
-// snapshot is merged into the /api/fleet document as the "dist" field.
-func (s *Server) SetDist(fn func() *telemetry.DistSnapshot) {
-	s.mu.Lock()
-	s.dist = fn
-	s.mu.Unlock()
-}
-
-// Handle mounts an extra handler on the introspection mux — how the
-// coordinator's /api/dist/ surface shares the telemetry server's
-// address. Call before serving.
-func (s *Server) Handle(pattern string, h http.Handler) {
-	s.mux.Handle(pattern, h)
-}
 
 // ServeHTTP dispatches to the introspection mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -127,10 +99,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.mu.Lock()
-	check := s.readyCheck
-	s.mu.Unlock()
-	if !s.ready.Load() || (check != nil && !check()) {
+	if !s.ready.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "not ready")
 		return
@@ -140,12 +109,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	snap := s.fleet.Snapshot()
-	s.mu.Lock()
-	dist := s.dist
-	s.mu.Unlock()
-	if dist != nil {
-		snap.Dist = dist()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -202,21 +165,9 @@ func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
 // failure.
 func Serve(addr string, reg *telemetry.Registry, fleet *telemetry.Fleet, log *slog.Logger) (*Server, net.Addr, func(), error) {
 	s := NewServer(reg, fleet)
-	bound, stop, err := s.Start(addr, log)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return s, bound, stop, nil
-}
-
-// Start serves s on addr in a background goroutine and returns the
-// bound address and a shutdown function — the entry point for callers
-// that mounted extra handlers (e.g. a distributed coordinator) before
-// serving.
-func (s *Server) Start(addr string, log *slog.Logger) (net.Addr, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("telhttp: listen %s: %w", addr, err)
+		return nil, nil, nil, fmt.Errorf("telhttp: listen %s: %w", addr, err)
 	}
 	hs := &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
 	go func() {
@@ -230,5 +181,5 @@ func (s *Server) Start(addr string, log *slog.Logger) (net.Addr, func(), error) 
 			"endpoints", "/metrics /healthz /readyz /api/fleet /api/fleet/stream /debug/pprof/")
 	}
 	stop := func() { _ = hs.Close() }
-	return ln.Addr(), stop, nil
+	return s, ln.Addr(), stop, nil
 }

@@ -255,17 +255,11 @@ type Options struct {
 	// from every layer (chunks, SCV detections, store-buffer drains,
 	// MESI transitions, NoC messages). Nil = tracing off at zero cost.
 	Tracer *Tracer
-	// Shards runs the simulation on the parallel sharded engine:
-	// cores and directory banks are partitioned into this many shards,
-	// each stepped by its own goroutine under conservative lookahead.
-	// 0 = classic serial engine. Results are bit-identical at every
-	// shard count.
-	Shards int
 	// ProfileCycles enables the cycle-accounting profiler: every layer
 	// (L1, directory homes, NoC, cores, recorders) attributes stall and
 	// service cycles to per-core prof.* counters in the run's metrics
-	// registry. Totals are byte-identical serial and at every shard
-	// count; disabled (the default) the hot paths pay one nil compare.
+	// registry. Disabled (the default), the hot paths pay one nil
+	// compare.
 	ProfileCycles bool
 }
 
@@ -286,11 +280,16 @@ type LogStats = relog.Stats
 // App generates one of the ten SPLASH-2-like workloads ("barnes",
 // "cholesky", "fft", "fmm", "lu", "ocean", "radiosity", "radix",
 // "raytrace", "water-nsq") with nThreads threads of about opsPerThread
-// memory operations, deterministically from seed.
+// memory operations, deterministically from seed. Both sizes must be at
+// least 1.
 func App(name string, nThreads, opsPerThread int, seed uint64) (*Workload, error) {
 	p, err := trace.ProfileByName(name)
 	if err != nil {
 		return nil, err
+	}
+	if nThreads < 1 || opsPerThread < 1 {
+		return nil, fmt.Errorf("pacifier: app %q needs at least 1 thread and 1 op per thread (got %d threads, %d ops)",
+			name, nThreads, opsPerThread)
 	}
 	return p.Generate(nThreads, opsPerThread, seed), nil
 }
@@ -325,7 +324,6 @@ func Record(w *Workload, opts Options, modes ...Mode) (*Run, error) {
 	copts.Seed = opts.Seed
 	copts.Atomic = opts.Atomic
 	copts.Tracer = opts.Tracer
-	copts.Shards = opts.Shards
 	copts.ProfileCycles = opts.ProfileCycles
 	if opts.MaxChunkOps > 0 {
 		copts.MaxChunkOps = opts.MaxChunkOps

@@ -17,6 +17,20 @@ func TestAppGeneration(t *testing.T) {
 	}
 }
 
+// TestAppRejectsNonPositiveSizes: sizes come straight from CLI flags, so
+// App must report a bad one as an error, not panic in the generator.
+// One thread with one op is the smallest valid workload.
+func TestAppRejectsNonPositiveSizes(t *testing.T) {
+	for _, tc := range []struct{ threads, ops int }{{0, 100}, {4, 0}, {-1, 100}, {4, -5}} {
+		if w, err := App("fft", tc.threads, tc.ops, 1); err == nil {
+			t.Errorf("App(fft, %d, %d) = %d threads, want an error", tc.threads, tc.ops, len(w.Threads))
+		}
+	}
+	if _, err := App("fft", 1, 1, 1); err != nil {
+		t.Errorf("App(fft, 1, 1): %v", err)
+	}
+}
+
 func TestLitmusLookup(t *testing.T) {
 	for _, name := range []string{"sb", "mp", "wrc", "iriw", "mp-fenced"} {
 		if _, err := Litmus(name); err != nil {
