@@ -931,8 +931,19 @@ func exit(code int) {
 }
 
 func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "pacifier: "+format+"\n", args...)
+	fmt.Fprintln(os.Stderr, failMessage(format, args...))
 	exit(1)
+}
+
+// failMessage formats a fatal error with the command's "pacifier: "
+// prefix, once: errors from the pacifier package already carry it.
+func failMessage(format string, args ...any) string {
+	const prefix = "pacifier: "
+	msg := fmt.Sprintf(format, args...)
+	if strings.HasPrefix(msg, prefix) {
+		return msg
+	}
+	return prefix + msg
 }
 
 // startProfiles begins CPU profiling and arranges heap profiling. The

@@ -8,8 +8,6 @@ package core
 import (
 	"fmt"
 
-	"pacifier/internal/cache"
-	"pacifier/internal/coherence"
 	"pacifier/internal/cpu"
 	"pacifier/internal/debug"
 	"pacifier/internal/machine"
@@ -85,7 +83,22 @@ func (rr *RunResult) Recording(mode record.Mode) *Recording {
 
 // Record executes the workload once on the Table 4 machine and records
 // it simultaneously under every requested mode.
+//
+// The machine runs on the calling goroutine and the recorders on a
+// second one, fed by an ordered event stream (stream.go): the logs,
+// stats and trace events are the ones the recorders would produce
+// attached to the machine directly. A recorder panic is raised again on
+// the calling goroutine.
 func Record(w *trace.Workload, opts Options, modes ...record.Mode) (*RunResult, error) {
+	return recordRun(w, opts, modes, nil)
+}
+
+// recordRun is Record. before, when non-nil, is called with the machine's
+// observer just before the machine runs (tests use it to inject
+// events).
+func recordRun(w *trace.Workload, opts Options, modes []record.Mode,
+	before func(machine.Observer)) (*RunResult, error) {
+
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("core: no recorder modes requested")
 	}
@@ -96,32 +109,41 @@ func Record(w *trace.Workload, opts Options, modes ...record.Mode) (*RunResult, 
 	mcfg.Tracer = opts.Tracer
 	mcfg.Profile = opts.ProfileCycles
 
-	// Build the machine first to get the shared engine, then the
-	// recorders, then attach the observer. machine.New needs the
-	// observer, so use a late-bound indirection.
-	fo := &fanout{}
+	fo := newFanout(n, opts.Atomic, record.DefaultConfig(n, modes[0]).PWSize)
 	m, err := machine.New(mcfg, w, fo)
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]*record.Recorder, len(modes))
+	// The recorders run on the sink's goroutine: they read the sink's
+	// clock, count into a registry of their own and trace into a buffer
+	// of their own. Both are folded into the run's once they finish.
+	sk := &sink{recs: make([]*record.Recorder, len(modes))}
+	rstats := sim.NewStats()
+	rtrace := opts.Tracer.Buffer()
 	for i, mode := range modes {
 		rcfg := record.DefaultConfig(n, mode)
 		if opts.MaxChunkOps > 0 {
 			rcfg.MaxChunkOps = opts.MaxChunkOps
 		}
-		rcfg.Tracer = opts.Tracer
+		rcfg.Tracer = rtrace
 		rcfg.Profile = opts.ProfileCycles
-		recs[i] = record.NewRecorder(rcfg, m.Eng, m.Stats)
+		sk.recs[i] = record.NewRecorder(rcfg, &sk.clock, rstats)
 	}
-	fo.recs = recs
 
 	limit := opts.MaxCycles
 	if limit <= 0 {
 		limit = 200_000_000
 	}
-	if err := m.Run(limit); err != nil {
-		return nil, err
+	fo.start(m.Eng, sk)
+	defer fo.stop() // a panic out of the machine must not strand the sink
+	if before != nil {
+		before(fo)
+	}
+	runErr := m.Run(limit)
+	fo.stop()
+	sk.rethrow()
+	if runErr != nil {
+		return nil, runErr
 	}
 
 	rr := &RunResult{
@@ -135,17 +157,23 @@ func Record(w *trace.Workload, opts Options, modes ...record.Mode) (*RunResult, 
 	for pid := 0; pid < n; pid++ {
 		rr.Records = append(rr.Records, m.Records(pid))
 	}
+	// Finish closes the open chunks at the machine's final cycle, as it
+	// would attached to the machine.
+	sk.clock.now = m.Eng.Now()
 	for i, mode := range modes {
-		log := recs[i].Finish()
+		rec := sk.recs[i]
+		log := rec.Finish()
 		rr.Recordings = append(rr.Recordings, &Recording{
 			Mode:       mode,
 			Log:        log,
 			LogStats:   log.ComputeStats(),
-			LHBMax:     recs[i].MaxLHBAcrossCores(),
-			PWMax:      maxPW(recs[i], n),
-			ProfCycles: recs[i].ProfiledCycles(),
+			LHBMax:     rec.MaxLHBAcrossCores(),
+			PWMax:      maxPW(rec, n),
+			ProfCycles: rec.ProfiledCycles(),
 		})
 	}
+	m.Stats.Fold(rstats)
+	opts.Tracer.Fold(rtrace)
 	if opts.ProfileCycles {
 		publishProfTelemetry(rr.Stats)
 	}
@@ -281,145 +309,6 @@ func LogOverhead(karma, other *Recording) float64 {
 		return 0
 	}
 	return float64(other.LogStats.TotalBytes)/float64(karma.LogStats.TotalBytes) - 1
-}
-
-// ---------------------------------------------------------------------
-// fanout: one machine, many recorders
-// ---------------------------------------------------------------------
-
-// fanout multiplexes machine events to several recorders. Each recorder
-// has its own chunk numbering and timestamps, so source snapshots (which
-// travel inside coherence messages) are captured per recorder at send
-// time, parked in a table under a fanout-wide id, and re-split at
-// delivery. One id can be delivered many times (see OnDependence), so
-// every entry is kept for the run.
-type fanout struct {
-	recs []*record.Recorder
-	// snaps holds the entries of ids 1..nextID in blocks of snapBlock
-	// ids, len(recs) entries per id (see snapsOf). Blocks are never
-	// moved, so the table grows without copying.
-	snaps  [][]coherence.SrcSnap
-	nextID int64
-}
-
-// snapBlock is the number of snapshot ids one block of fanout.snaps
-// holds.
-const snapBlock = 1024
-
-// snapsOf returns the per-recorder entries of snapshot id, allocating
-// its block when id is the first of a new one. Ids are 1-based.
-func (f *fanout) snapsOf(id int64) []coherence.SrcSnap {
-	n := len(f.recs)
-	b, off := (id-1)/snapBlock, int((id-1)%snapBlock)*n
-	if b == int64(len(f.snaps)) {
-		f.snaps = append(f.snaps, make([]coherence.SrcSnap, snapBlock*n))
-	}
-	return f.snaps[b][off : off+n]
-}
-
-var _ machine.Observer = (*fanout)(nil)
-
-func (f *fanout) OnDispatch(pid int, sn cpu.SN, kind trace.OpKind, addr coherence.Addr) {
-	for _, r := range f.recs {
-		r.OnDispatch(pid, sn, kind, addr)
-	}
-}
-
-func (f *fanout) OnRetire(pid int, sn cpu.SN) {
-	for _, r := range f.recs {
-		r.OnRetire(pid, sn)
-	}
-}
-
-func (f *fanout) OnPerformed(pid int, sn cpu.SN) {
-	for _, r := range f.recs {
-		r.OnPerformed(pid, sn)
-	}
-}
-
-func (f *fanout) OnLoadValue(pid int, sn cpu.SN, addr coherence.Addr, val uint64) {
-	for _, r := range f.recs {
-		r.OnLoadValue(pid, sn, addr, val)
-	}
-}
-
-func (f *fanout) OnLoadForwarded(pid int, loadSN, storeSN cpu.SN, val uint64) {
-	for _, r := range f.recs {
-		r.OnLoadForwarded(pid, loadSN, storeSN, val)
-	}
-}
-
-func (f *fanout) OnIdle(pid int, cycles int64) {
-	for _, r := range f.recs {
-		r.OnIdle(pid, cycles)
-	}
-}
-
-func (f *fanout) SnapshotSource(pid int, sn coherence.SN) coherence.SrcSnap {
-	// Fill the next id's entries in place; they are issued only if some
-	// recorder's snapshot is valid, and overwritten by the next call if
-	// not.
-	all := f.snapsOf(f.nextID + 1)
-	valid := false
-	for i, r := range f.recs {
-		all[i] = r.SnapshotSource(pid, sn)
-		valid = valid || all[i].Valid
-	}
-	if !valid {
-		return coherence.SrcSnap{}
-	}
-	f.nextID++
-	return coherence.SrcSnap{Valid: true, PID: pid, CID: f.nextID}
-}
-
-func (f *fanout) OnDependence(d coherence.Dependence) {
-	// A snapshot can be used by several deliveries (every store of a
-	// miss epoch, every later cache hit on the line). An id never
-	// issued (0 for an invalid snapshot) is dropped.
-	if d.Snap.CID < 1 || d.Snap.CID > f.nextID {
-		return
-	}
-	all := f.snapsOf(d.Snap.CID)
-	for i, r := range f.recs {
-		d.Snap = all[i]
-		r.OnDependence(d)
-	}
-}
-
-func (f *fanout) OnLocalSource(pid int, sn coherence.SN, isWrite bool) {
-	for _, r := range f.recs {
-		r.OnLocalSource(pid, sn, isWrite)
-	}
-}
-
-func (f *fanout) QueryPWForLine(pid int, line cache.Line) coherence.PWQueryResult {
-	// PW contents are identical across recorders (same event stream);
-	// the first answers for all.
-	return f.recs[0].QueryPWForLine(pid, line)
-}
-
-func (f *fanout) OnHoldPWEntry(pid int, sn coherence.SN) {
-	for _, r := range f.recs {
-		r.OnHoldPWEntry(pid, sn)
-	}
-}
-
-func (f *fanout) OnLogOldValue(pid int, sn coherence.SN, line cache.Line, val uint64) {
-	for _, r := range f.recs {
-		r.OnLogOldValue(pid, sn, line, val)
-	}
-}
-
-func (f *fanout) OnReleasePWEntry(pid int, sn coherence.SN) {
-	for _, r := range f.recs {
-		r.OnReleasePWEntry(pid, sn)
-	}
-}
-
-func (f *fanout) OnStorePerformedWrt(w coherence.AccessRef, pid int, line cache.Line) {
-	for _, r := range f.recs {
-		r.OnStorePerformedWrt(w, pid, line)
-	}
 }
 
 // VerifyRoundTrip encodes and decodes a log and confirms the decoded

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"pacifier/internal/machine"
@@ -283,10 +286,30 @@ func TestLHBWatermarkModest(t *testing.T) {
 // The recorder is bound after machine.New, which it needs for the clock.
 type directRecorder struct{ *record.Recorder }
 
+// direct is what one recorder attached to the machine directly gives.
+type direct struct {
+	log       []byte
+	durations []sim.Cycle // every chunk's, core by core (not in the encoding)
+	cycles    sim.Cycle
+	stats     *sim.Snapshot
+}
+
+// durations lists a log's chunk durations, core by core.
+func durations(l *relog.Log) []sim.Cycle {
+	var out []sim.Cycle
+	for pid := 0; pid < l.Cores; pid++ {
+		for _, c := range l.Chunks(pid) {
+			out = append(out, c.Duration)
+		}
+	}
+	return out
+}
+
 // recordDirect records w under mode with the recorder as the machine's
-// observer, configured as Record configures it, and returns the
-// encoded log and the native cycle count.
-func recordDirect(t *testing.T, w *trace.Workload, opts Options, mode record.Mode) ([]byte, sim.Cycle) {
+// observer, configured as Record configures it: synchronously, on the
+// machine's goroutine, reading the machine's clock and counting into
+// the machine's registry.
+func recordDirect(t *testing.T, w *trace.Workload, opts Options, mode record.Mode) direct {
 	t.Helper()
 	n := len(w.Threads)
 	mcfg := machine.DefaultConfig(n)
@@ -303,17 +326,31 @@ func recordDirect(t *testing.T, w *trace.Workload, opts Options, mode record.Mod
 	if err := m.Run(opts.MaxCycles); err != nil {
 		t.Fatal(err)
 	}
-	return relog.EncodeLog(obs.Finish()), m.Cycles()
+	log := obs.Finish()
+	return direct{log: relog.EncodeLog(log), durations: durations(log),
+		cycles: m.Cycles(), stats: m.Stats.Snapshot()}
+}
+
+// counters returns a snapshot's counters by name.
+func counters(s *sim.Snapshot) map[string]int64 {
+	out := make(map[string]int64, len(s.Counters))
+	for _, c := range s.Counters {
+		out[c.Name] = c.Value
+	}
+	return out
 }
 
 func TestMultiRecorderMatchesSolo(t *testing.T) {
 	// Recording a mode through the fanout, alone or alongside others,
-	// must give byte for byte the log its recorder gives attached to the
-	// machine directly: the fanout's snapshot ids and table must perturb
-	// neither the execution nor any recorder. With karma+vol+gra together
-	// the inputs issue 2 (SB), 2617 (radiosity) and 2607 (ocean) fanout
-	// snapshot ids, so the two trace inputs fill three blocks of the
-	// snapshot table each.
+	// must give byte for byte the log, and exactly the counters, its
+	// recorder gives attached to the machine directly: neither the event
+	// stream to the recorders' goroutine, nor the snapshot tickets and
+	// their table, nor the fanout's own pending windows (which answer
+	// the non-atomic radiosity case's Section 3.2 queries) may perturb
+	// the execution or any recorder. Every SnapshotSource call takes a
+	// ticket; with karma+vol+gra together the inputs take 2 (SB), 2617
+	// (radiosity) and 2607 (ocean), so the two trace inputs fill three
+	// blocks of the ticket table each.
 	radiosity, _ := trace.ProfileByName("radiosity")
 	ocean, _ := trace.ProfileByName("ocean")
 	cases := []struct {
@@ -335,25 +372,48 @@ func TestMultiRecorderMatchesSolo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		// Recorder counters (record.*, prof.*.recorder.*) are named per
+		// kind, not per mode, so the run with every recorder holds their
+		// sum over the modes; every other counter is the machine's.
+		sum := map[string]int64{}
 		for _, mode := range modes {
 			solo, err := Record(c.w, opts, mode)
 			if err != nil {
 				t.Fatalf("%s %v: %v", c.name, mode, err)
 			}
-			want, cycles := recordDirect(t, c.w, opts, mode)
+			want := recordDirect(t, c.w, opts, mode)
 			for _, got := range []struct {
 				how string
 				rr  *RunResult
 			}{{"alone", solo}, {"together", multi}} {
-				if got.rr.NativeCycles != cycles {
+				if got.rr.NativeCycles != want.cycles {
 					t.Fatalf("%s %v %s: fanout perturbed execution: %d cycles, %d direct",
-						c.name, mode, got.how, got.rr.NativeCycles, cycles)
+						c.name, mode, got.how, got.rr.NativeCycles, want.cycles)
 				}
-				if b := relog.EncodeLog(got.rr.Recording(mode).Log); !bytes.Equal(b, want) {
+				log := got.rr.Recording(mode).Log
+				if b := relog.EncodeLog(log); !bytes.Equal(b, want.log) {
 					t.Fatalf("%s %v %s: fanout perturbed the log: %d bytes, %d direct",
-						c.name, mode, got.how, len(b), len(want))
+						c.name, mode, got.how, len(b), len(want.log))
+				}
+				// Durations come from the recorders' clock, which the
+				// wire encoding leaves out.
+				if !slices.Equal(durations(log), want.durations) {
+					t.Fatalf("%s %v %s: fanout perturbed the chunk durations", c.name, mode, got.how)
 				}
 			}
+			if !reflect.DeepEqual(solo.Stats.Snapshot(), want.stats) {
+				t.Errorf("%s %v: the stats snapshot differs from the direct recorder's", c.name, mode)
+			}
+			for name, v := range counters(want.stats) {
+				if strings.HasPrefix(name, "record.") {
+					sum[name] += v
+				} else {
+					sum[name] = v
+				}
+			}
+		}
+		if got := counters(multi.Stats.Snapshot()); !reflect.DeepEqual(got, sum) {
+			t.Errorf("%s together: counters %v, want the direct runs' %v", c.name, got, sum)
 		}
 	}
 }

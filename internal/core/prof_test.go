@@ -157,3 +157,50 @@ func TestDivergedReplayProfFreezes(t *testing.T) {
 		t.Errorf("frozen attribution %d exceeds total stall %d", got, res.StallCycles)
 	}
 }
+
+// TestDebugProfileSurvivesSeekBack: a profiled debug session that seeks
+// forward, back and then runs to the end reports the attribution of a
+// session that ran straight through. A rewind replaces the replayer's
+// registry (replay.Stepper.RestoreState), so the replayer's prof.Lat
+// accumulators must rebind to the new one: counters still bound to the
+// discarded registry would lose every cycle attributed after the seek.
+func TestDebugProfileSurvivesSeekBack(t *testing.T) {
+	p, err := trace.ProfileByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Seed = 3
+	opts.ProfileCycles = true
+	rr, err := Record(p.Generate(8, 600, 3), opts, record.ModeGranule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seeks ...int64) *prof.Report {
+		t.Helper()
+		s, err := NewDebugSession(rr, nil, record.ModeGranule, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pos := range seeks {
+			if err := s.SeekTo(pos); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stop := s.Continue(); stop.Reason != "end" {
+			t.Fatalf("Continue stopped early: %s", stop.Reason)
+		}
+		return s.ProfReport()
+	}
+	want := run()
+	if want.Total[prof.NoC] == 0 || want.Total[prof.Barrier] == 0 {
+		t.Fatalf("straight session attributed noc=%d barrier=%d; the test needs both",
+			want.Total[prof.NoC], want.Total[prof.Barrier])
+	}
+	total := int64(rr.Recording(record.ModeGranule).Log.TotalChunks())
+	got := run(2*total/3, total/3)
+	if got.Total != want.Total {
+		t.Fatalf("after seeking to %d and back to %d: attribution %v, want the straight session's %v",
+			2*total/3, total/3, got.Total, want.Total)
+	}
+}

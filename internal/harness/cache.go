@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // DefaultCacheDir is where the CLIs keep results between invocations.
@@ -21,16 +20,7 @@ const DefaultCacheDir = ".pacifier-cache"
 // that.
 type Cache struct {
 	dir string
-
-	// hits/misses are updated by Get (under mu — Get runs on every
-	// worker) for the CLIs' summary lines.
-	mu     sync.Mutex
-	hits   int64
-	misses int64
 }
-
-func (c *Cache) hit()  { c.mu.Lock(); c.hits++; c.mu.Unlock() }
-func (c *Cache) miss() { c.mu.Lock(); c.misses++; c.mu.Unlock() }
 
 // cacheEntry is the on-disk envelope.
 type cacheEntry struct {
@@ -57,17 +47,14 @@ func (c *Cache) path(hash string) string {
 func (c *Cache) Get(hash string) (*Result, bool) {
 	blob, err := os.ReadFile(c.path(hash))
 	if err != nil {
-		c.miss()
 		return nil, false
 	}
 	var e cacheEntry
 	if json.Unmarshal(blob, &e) != nil ||
 		e.Version != cacheVersion || e.SpecHash != hash ||
 		e.Result == nil || e.Result.SpecHash != hash {
-		c.miss()
 		return nil, false
 	}
-	c.hit()
 	return e.Result, true
 }
 
@@ -111,12 +98,4 @@ func (c *Cache) Len() int {
 		}
 	}
 	return n
-}
-
-// Stats reports the hit/miss counts accumulated by Get since the cache
-// was opened.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

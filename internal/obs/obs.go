@@ -124,10 +124,11 @@ type Event struct {
 // paths additionally guard emits with `if tr != nil` so the disabled
 // cost is a single pointer compare.
 //
-// Emits are serialized by a mutex. The simulation itself is
-// single-threaded, but the harness runs many simulations concurrently
-// and an interrupt handler may flush a tracer from a signal goroutine,
-// so the sink must be race-free.
+// Emits are serialized by a mutex. A recording's recorders run on a
+// goroutine of their own and emit into a buffer of their own (Buffer),
+// but the harness runs many simulations concurrently and an interrupt
+// handler may flush a tracer from a signal goroutine, so the sink must
+// be race-free.
 type Tracer struct {
 	mu     sync.Mutex
 	events []Event
@@ -218,6 +219,46 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, len(t.events))
 	copy(out, t.events)
 	return out
+}
+
+// Buffer returns a tracer that only buffers: events emitted into it
+// reach t when t folds the buffer in (Fold). A goroutine whose events
+// must land in t in an order of its own emits into a buffer of its
+// own. The buffer has t's label and limit (Fold could keep no more) and
+// counts no telemetry; Fold counts each event into t's. Buffer returns
+// nil for a nil t, so emit sites keep their nil check.
+func (t *Tracer) Buffer() *Tracer {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return &Tracer{label: t.label, limit: t.limit}
+}
+
+// Fold appends the events buffered in b to t in b's emit order, exactly
+// as if each had been emitted into t at this point (t's limit applies
+// and its telemetry counts them), then empties b. A nil t or b is a
+// no-op.
+func (t *Tracer) Fold(b *Tracer) {
+	if t == nil || b == nil {
+		return
+	}
+	b.mu.Lock()
+	evs, bdropped := b.events, b.dropped
+	b.events, b.dropped = nil, 0
+	b.mu.Unlock()
+	t.mu.Lock()
+	kept := len(evs)
+	if t.limit > 0 {
+		kept = max(0, min(kept, t.limit-len(t.events)))
+	}
+	t.events = append(t.events, evs[:kept]...)
+	dropped := int64(len(evs)-kept) + bdropped
+	t.dropped += dropped
+	t.mu.Unlock()
+	t.tmEmitted.Add(int64(kept))
+	t.tmDropped.Add(dropped)
 }
 
 // Reset discards all buffered events.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pacifier/internal/sim"
@@ -142,5 +143,47 @@ func TestCorrelate(t *testing.T) {
 	clean.ChunkCommit(0, 0, 1, 0, 10, 3, 0)
 	if Correlate(clean.Events()) != nil {
 		t.Error("clean stream produced an explanation")
+	}
+}
+
+// TestTracerFold: events emitted into a buffer reach the tracer at the
+// fold, in emit order and after the tracer's own, and the tracer's
+// limit drops (and counts) whatever it cannot keep.
+func TestTracerFold(t *testing.T) {
+	if (*Tracer)(nil).Buffer() != nil {
+		t.Fatal("a nil tracer's buffer must be nil, so emit sites keep their nil check")
+	}
+	tr := New("run")
+	tr.SBDrain(0, 1, 5, 0x40, 0)
+	buf := tr.Buffer()
+	buf.ChunkBegin(0, 1, 0, 2)
+	buf.ChunkCommit(0, 1, 0, 2, 9, 3, 0)
+	tr.MESI(1, 0x40, 6, 0, 2)
+	tr.Fold(buf)
+	var kinds []Kind
+	for _, e := range tr.Events() {
+		kinds = append(kinds, e.Kind)
+	}
+	want := []Kind{KSBDrain, KMESI, KChunkBegin, KChunkCommit}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("folded kinds %v, want %v", kinds, want)
+	}
+	if buf.Len() != 0 {
+		t.Fatal("Fold left events in the buffer")
+	}
+
+	tr = New("capped")
+	tr.SetLimit(3)
+	tr.SBDrain(0, 1, 5, 0x40, 0)
+	buf = tr.Buffer()
+	for i := 0; i < 5; i++ { // the buffer keeps 3, drops 2
+		buf.ChunkBegin(0, 1, int64(i), int64(i))
+	}
+	tr.Fold(buf) // the tracer keeps 2 of those 3
+	if tr.Len() != 3 || tr.Dropped() != 3 {
+		t.Fatalf("capped fold: %d events, %d dropped; want 3 and 3", tr.Len(), tr.Dropped())
+	}
+	if got := tr.Events()[2].CID; got != 1 {
+		t.Fatalf("capped fold kept CID %d last, want the buffer's first two (CID 1)", got)
 	}
 }

@@ -128,7 +128,10 @@ func RecorderCounterName(pid int, mode string) string {
 // the disabled profiler: Add is one pointer compare.
 //
 // Counters resolve lazily against the stats registry passed to Add and
-// re-resolve when a later Add passes a different registry.
+// re-resolve when a later Add passes a different registry. The replayer
+// relies on that: a debug-session rewind (replay.Stepper.RestoreState)
+// replaces its registry with one rebuilt from the checkpoint, and the
+// next Add must count into the new registry, not the discarded one.
 type Lat struct {
 	pid   int
 	bound *sim.Stats

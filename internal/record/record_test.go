@@ -186,6 +186,56 @@ func TestPWMaxOcc(t *testing.T) {
 	}
 }
 
+// TestPWRingWrapsAndGrows drives the window past its ring's end many
+// times, then grows it while the live entries wrap around: lookups,
+// program order, the Section 3.2 query and the watermark must not see
+// the ring.
+func TestPWRingWrapsAndGrows(t *testing.T) {
+	pw := NewPendingWindow(4) // a 4-slot ring
+	sn := SN(1)
+	dispatch := func() {
+		pw.Dispatch(sn, trace.Read, coherence.Addr(sn*8), cache.Line(sn%3))
+		sn++
+	}
+	for i := 0; i < 3; i++ {
+		dispatch()
+	}
+	for round := 0; round < 10; round++ { // keep 3 live, wrapping
+		pw.Perform(pw.TailSN())
+		pw.Drain()
+		dispatch()
+	}
+	for i := 0; i < 6; i++ { // grow twice with the live run wrapped
+		dispatch()
+	}
+	if pw.Len() != 9 || pw.MaxOcc() != 9 || pw.TailSN() != 11 {
+		t.Fatalf("len %d, watermark %d, tail %d; want 9, 9, 11", pw.Len(), pw.MaxOcc(), pw.TailSN())
+	}
+	var order []SN
+	pw.Range(func(e *pwEntry) { order = append(order, e.sn) })
+	for i, got := range order {
+		if want := SN(11 + i); got != want || pw.Get(want).sn != want {
+			t.Fatalf("entry %d is SN %d, want %d", i, got, want)
+		}
+	}
+	for _, l := range []struct {
+		sn  SN
+		val uint64
+	}{{13, 7}, {14, 9}, {16, 5}} { // lines 1, 2, 1
+		pw.SetLoadValue(l.sn, l.val)
+		pw.Perform(l.sn)
+	}
+	if q := pw.Query(1); !q.HasPerformedLoad || q.LoadSN != 16 || q.OldValue != 5 {
+		t.Fatalf("line 1: query %+v, want the youngest performed load (16, 5)", q)
+	}
+	if q := pw.Query(2); q.LoadSN != 14 || q.OldValue != 9 {
+		t.Fatalf("line 2: query %+v, want (14, 9)", q)
+	}
+	if q := pw.Query(0); q.HasPerformedLoad {
+		t.Fatalf("line 0: query %+v, want no performed load", q)
+	}
+}
+
 // --------------------------------------------------------------------
 // Recorder state machine (driven directly, no machine)
 // --------------------------------------------------------------------

@@ -51,14 +51,19 @@ func DefaultConfig(cores int, mode Mode) Config {
 	return Config{Cores: cores, Mode: mode, MaxChunkOps: 2048, PWSize: 256, LHBSize: 16}
 }
 
-// debugPromised, when set by tests, observes promised-source conflicts.
-var debugPromised func(pid int, dinst SN, src relog.ChunkRef, srcTS int64)
+// Clock tells a Recorder the current simulated cycle: the machine's
+// engine when the recorder observes the machine directly, or the cycle
+// stamped on the event being delivered when it runs behind an event
+// stream (internal/core).
+type Clock interface {
+	Now() sim.Cycle
+}
 
 // Recorder observes a machine run and builds the log.
 type Recorder struct {
 	cfg   Config
 	strat Strategy
-	eng   *sim.Engine
+	clock Clock
 	cores []*coreState
 	vol   *scvd.Volition
 	races *scvd.RaceSet
@@ -105,9 +110,10 @@ func (r *Recorder) inc(cp **sim.Counter, name string) {
 	(*cp).Value++
 }
 
-// NewRecorder builds a recorder attached to the machine's engine (for
-// timestamps on chunk durations).
-func NewRecorder(cfg Config, eng *sim.Engine, stats *sim.Stats) *Recorder {
+// NewRecorder builds a recorder that reads simulated time (for chunk
+// durations and trace events) from clock, which may be nil (time 0),
+// and counts into stats, which may be nil.
+func NewRecorder(cfg Config, clock Clock, stats *sim.Stats) *Recorder {
 	if cfg.Cores <= 0 {
 		panic("record: need at least one core")
 	}
@@ -117,7 +123,7 @@ func NewRecorder(cfg Config, eng *sim.Engine, stats *sim.Stats) *Recorder {
 	if cfg.PWSize <= 0 {
 		cfg.PWSize = 256
 	}
-	r := &Recorder{cfg: cfg, strat: strategyFor(cfg.Mode), eng: eng, log: relog.NewLog(cfg.Cores), stats: stats}
+	r := &Recorder{cfg: cfg, strat: strategyFor(cfg.Mode), clock: clock, log: relog.NewLog(cfg.Cores), stats: stats}
 	r.tr = cfg.Tracer
 	r.trMode = int8(cfg.Mode)
 	if cfg.Profile {
@@ -163,8 +169,8 @@ func NewRecorder(cfg Config, eng *sim.Engine, stats *sim.Stats) *Recorder {
 }
 
 func (r *Recorder) now() sim.Cycle {
-	if r.eng != nil {
-		return r.eng.Now()
+	if r.clock != nil {
+		return r.clock.Now()
 	}
 	return 0
 }
@@ -196,11 +202,13 @@ func (r *Recorder) Mode() Mode { return r.cfg.Mode }
 // cpu.Observer
 // ---------------------------------------------------------------------
 
-func lineOf(a coherence.Addr) cache.Line { return cache.Line(uint64(a) >> 5) }
+// LineOf returns the 32-byte cache line of an address, the key the PW
+// and its CBF index operations by.
+func LineOf(a coherence.Addr) cache.Line { return cache.Line(uint64(a) >> 5) }
 
 // OnDispatch inserts the operation into the PW in program order.
 func (r *Recorder) OnDispatch(pid int, sn SN, kind trace.OpKind, addr coherence.Addr) {
-	r.cores[pid].pw.Dispatch(sn, kind, addr, lineOf(addr))
+	r.cores[pid].pw.Dispatch(sn, kind, addr, LineOf(addr))
 }
 
 // OnRetire advances MRR (the counting point) and applies the capacity
@@ -216,9 +224,7 @@ func (r *Recorder) OnRetire(pid int, sn SN) {
 
 // OnLoadValue remembers the bound value for D_set / Section 3.2 logging.
 func (r *Recorder) OnLoadValue(pid int, sn SN, addr coherence.Addr, val uint64) {
-	if e := r.cores[pid].pw.Get(sn); e != nil {
-		e.value = val
-	}
+	r.cores[pid].pw.SetLoadValue(sn, val)
 }
 
 // OnIdle subtracts barrier-park time from the open chunk's duration and
@@ -245,11 +251,10 @@ func (r *Recorder) OnLoadForwarded(pid int, loadSN, storeSN SN, val uint64) {
 // advances completion.
 func (r *Recorder) OnPerformed(pid int, sn SN) {
 	cs := r.cores[pid]
-	e := cs.pw.Get(sn)
+	e := cs.pw.Perform(sn)
 	if e == nil {
 		return // already completed (defensive; should not happen)
 	}
-	e.performed = true
 
 	if !e.mustLog && r.strat.MarkOnPerform(r, pid, e) {
 		e.mustLog = true
@@ -630,9 +635,6 @@ func (r *Recorder) cyclicTermination(pid int, d coherence.Dependence,
 		// order instead (replay may report an order break if the
 		// dependences are genuinely cyclic).
 		if e := cs.pw.Get(dinst); e != nil && e.isSource && e.kind != trace.Read {
-			if debugPromised != nil {
-				debugPromised(pid, dinst, srcRef, srcTS)
-			}
 			if ch := r.chunkStateOf(cs, dinst); ch != nil {
 				ch.addPred(srcRef)
 			}
@@ -839,18 +841,12 @@ func mergePreds(a, b []relog.ChunkRef) []relog.ChunkRef {
 // QueryPWForLine answers an invalidation's query: a performed load to
 // the line still pending?
 func (r *Recorder) QueryPWForLine(pid int, line cache.Line) coherence.PWQueryResult {
-	sn, val, ok := r.cores[pid].pw.FindPerformedLoad(line)
-	if !ok {
-		return coherence.PWQueryResult{}
-	}
-	return coherence.PWQueryResult{HasPerformedLoad: true, LoadSN: sn, OldValue: val}
+	return r.cores[pid].pw.Query(line)
 }
 
 // OnHoldPWEntry pins the entry until the writer's response.
 func (r *Recorder) OnHoldPWEntry(pid int, sn SN) {
-	if e := r.cores[pid].pw.Get(sn); e != nil {
-		e.held = true
-	}
+	r.cores[pid].pw.SetHeld(sn, true)
 }
 
 // OnLogOldValue records the stale value the load observed (the
@@ -881,10 +877,7 @@ func (r *Recorder) addVLog(pid int, sn SN, val uint64) {
 
 // OnReleasePWEntry unpins the entry.
 func (r *Recorder) OnReleasePWEntry(pid int, sn SN) {
-	cs := r.cores[pid]
-	if e := cs.pw.Get(sn); e != nil {
-		e.held = false
-	}
+	r.cores[pid].pw.SetHeld(sn, false)
 	r.drain(pid)
 }
 
@@ -961,16 +954,4 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// SetDebugPromised installs a test hook observing promised-source
-// conflicts (nil to clear).
-func SetDebugPromised(fn func(pid int, dinst int64, srcPID int, srcCID, srcTS int64)) {
-	if fn == nil {
-		debugPromised = nil
-		return
-	}
-	debugPromised = func(pid int, dinst SN, src relog.ChunkRef, srcTS int64) {
-		fn(pid, int64(dinst), src.PID, src.CID, srcTS)
-	}
 }

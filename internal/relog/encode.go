@@ -152,14 +152,8 @@ func (d *decoder) fail(format string, args ...any) {
 }
 
 // next reads one uvarint, false when the input holds no complete one.
-// Most fields fit one byte, so those skip binary.Uvarint.
 func (d *decoder) next() (uint64, bool) {
-	b := d.b[d.pos:]
-	if len(b) > 0 && b[0] < 0x80 {
-		d.pos++
-		return uint64(b[0]), true
-	}
-	v, n := binary.Uvarint(b)
+	v, n := binary.Uvarint(d.b[d.pos:])
 	if n <= 0 {
 		return 0, false
 	}
@@ -167,9 +161,23 @@ func (d *decoder) next() (uint64, bool) {
 	return v, true
 }
 
+// oneByte reads a value that fits one byte, the common case of every
+// varint field, without a call to binary.Uvarint; false if the next
+// value is longer or the input has ended.
+func (d *decoder) oneByte() (uint64, bool) {
+	if p := d.pos; p < len(d.b) && d.b[p] < 0x80 {
+		d.pos = p + 1
+		return uint64(d.b[p]), true
+	}
+	return 0, false
+}
+
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
+	}
+	if v, ok := d.oneByte(); ok {
+		return v
 	}
 	v, ok := d.next()
 	if !ok {
@@ -183,9 +191,11 @@ func (d *decoder) varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	ux, ok := d.next()
+	ux, ok := d.oneByte()
 	if !ok {
-		d.fail("truncated varint")
+		if ux, ok = d.next(); !ok {
+			d.fail("truncated varint")
+		}
 	}
 	return int64(ux>>1) ^ -int64(ux&1)
 }

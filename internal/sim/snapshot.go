@@ -75,6 +75,22 @@ func (h *Histogram) Observe(v int64) {
 	h.Buckets[BucketIndex(v)]++
 }
 
+// merge adds o's samples to h.
+func (h *Histogram) merge(o *Histogram) {
+	if o.Count == 0 {
+		return
+	}
+	if h.Count == 0 || o.Min < h.Min {
+		h.Min = o.Min
+	}
+	h.Max = max(h.Max, o.Max)
+	h.Count += o.Count
+	h.Sum += o.Sum
+	for i, c := range o.Buckets {
+		h.Buckets[i] += c
+	}
+}
+
 // Mean returns the average sample (0 for an empty histogram).
 func (h *Histogram) Mean() float64 {
 	if h.Count == 0 {

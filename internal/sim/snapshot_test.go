@@ -122,3 +122,44 @@ func TestSnapshotDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsFold: folding a second registry gives the snapshot the writes
+// would have given made into one registry, for shared and disjoint
+// names alike, including a histogram that never saw a sample.
+func TestStatsFold(t *testing.T) {
+	type write func(s *Stats)
+	one := []write{
+		func(s *Stats) { s.Inc("machine.c", 3) },
+		func(s *Stats) { s.Observe("machine.h", 5) },
+		func(s *Stats) { s.Gauge("machine.g").Set(4) },
+		func(s *Stats) { s.Inc("shared.c", 1) },
+		func(s *Stats) { s.Observe("shared.h", 70) },
+	}
+	two := []write{
+		func(s *Stats) { s.Inc("record.c", 2) },
+		func(s *Stats) { s.Histogram("record.empty") },
+		func(s *Stats) { s.Observe("record.h", 0) },
+		func(s *Stats) { s.Observe("record.h", 9) },
+		func(s *Stats) { s.Inc("shared.c", 6) },
+		func(s *Stats) { s.Observe("shared.h", 2) },
+		func(s *Stats) { s.Observe("shared.h", 300) },
+	}
+	want, dst, src := NewStats(), NewStats(), NewStats()
+	for _, w := range one {
+		w(want)
+		w(dst)
+	}
+	for _, w := range two {
+		w(want)
+		w(src)
+	}
+	dst.Fold(src)
+	got, _ := dst.Snapshot().Encode()
+	exp, _ := want.Snapshot().Encode()
+	if !bytes.Equal(got, exp) {
+		t.Fatalf("folded snapshot:\n%s\nwant:\n%s", got, exp)
+	}
+	if src.Get("shared.c") != 6 {
+		t.Error("Fold changed its source")
+	}
+}

@@ -31,7 +31,10 @@ func (g *Gauge) Set(v int64) {
 func (g *Gauge) Add(delta int64) { g.Set(g.Value + delta) }
 
 // Stats is a registry of counters, gauges and histograms. It is not
-// safe for concurrent use; the simulation is single-threaded by design.
+// safe for concurrent use: each registry has one writer goroutine. A
+// recording run keeps two — the machine's, and one the recorders write
+// on their own goroutine (internal/core) — and folds the second into
+// the first once the recorders have finished (Fold).
 type Stats struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
@@ -86,6 +89,27 @@ func (s *Stats) GaugeMax(name string) int64 {
 		return g.Max
 	}
 	return 0
+}
+
+// Fold adds every metric of src into s, creating the ones s lacks (even
+// at zero, so the folded snapshot lists exactly the union of names):
+// counters and gauge values are summed, gauge watermarks and histogram
+// extremes combined, histogram samples and buckets summed. Folding a
+// registry whose names s does not hold is therefore exact: s's
+// snapshot afterwards is what it would be had src's writers written
+// into s directly. src is left unchanged.
+func (s *Stats) Fold(src *Stats) {
+	for n, c := range src.counters {
+		s.Counter(n).Value += c.Value
+	}
+	for n, g := range src.gauges {
+		d := s.Gauge(n)
+		d.Value += g.Value
+		d.Max = max(d.Max, g.Max)
+	}
+	for n, h := range src.histograms {
+		s.Histogram(n).merge(h)
+	}
 }
 
 // Names returns all counter names in sorted order.
