@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
-	"sync"
 
 	"pacifier/internal/cache"
 	"pacifier/internal/coherence"
@@ -91,8 +91,35 @@ type batch struct {
 	evs  [batchLen]event
 }
 
-// batches recycles batches across recordings.
-var batches = sync.Pool{New: func() any { return new(batch) }}
+// batches keeps batches between recordings, so that the next one reuses
+// them instead of allocating. It is a buffered channel, not a sync.Pool,
+// because the garbage collector empties a pool: a job whose replays
+// collect between two recordings would allocate its batches again. It
+// holds inFlight batches for each recording that can run at once, one
+// per GOMAXPROCS; a batch that does not fit is dropped.
+var batches = make(chan *batch, inFlight*runtime.GOMAXPROCS(0))
+
+// newBatch allocates a batch when batches is empty.
+var newBatch = func() *batch { return new(batch) }
+
+// getBatch takes a kept batch, or allocates one if none is kept.
+func getBatch() *batch {
+	select {
+	case b := <-batches:
+		return b
+	default:
+		return newBatch()
+	}
+}
+
+// putBatch keeps an emptied batch for a later recording, unless batches
+// is full.
+func putBatch(b *batch) {
+	select {
+	case batches <- b:
+	default:
+	}
+}
 
 // fanout is the producer end. Every field belongs to the machine's
 // goroutine.
@@ -136,9 +163,9 @@ func (f *fanout) start(eng *sim.Engine, s *sink) {
 	f.full = make(chan *batch, inFlight)
 	f.free = make(chan *batch, inFlight)
 	for i := 0; i < inFlight-1; i++ {
-		f.free <- batches.Get().(*batch)
+		f.free <- getBatch()
 	}
-	f.cur = batches.Get().(*batch)
+	f.cur = getBatch()
 	s.done = make(chan struct{})
 	go s.run(f.full, f.free)
 }
@@ -184,7 +211,7 @@ func (f *fanout) stop() {
 	close(f.full)
 	<-f.sink.done
 	for len(f.free) > 0 {
-		batches.Put(<-f.free)
+		putBatch(<-f.free)
 	}
 }
 

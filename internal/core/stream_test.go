@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"pacifier/internal/coherence"
 	"pacifier/internal/machine"
 	"pacifier/internal/record"
+	"pacifier/internal/relog"
 	"pacifier/internal/sim"
 	"pacifier/internal/trace"
 )
@@ -173,5 +176,67 @@ func TestFanoutWindowsAnswerAsRecorder(t *testing.T) {
 	}
 	if queries == 0 {
 		t.Fatal("no query found a performed load; the script exercises nothing")
+	}
+}
+
+// TestRecordReusesBatchesAcrossGC: a recording streams through the
+// batches the last one left, even after a garbage collection, so it
+// allocates none.
+func TestRecordReusesBatchesAcrossGC(t *testing.T) {
+	p, _ := trace.ProfileByName("radiosity")
+	w := p.Generate(4, 500, 1)
+	if _, err := Record(w, DefaultOptions(), record.ModeGranule); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	allocs, restore := countNewBatches()
+	defer restore()
+	if _, err := Record(w, DefaultOptions(), record.ModeGranule); err != nil {
+		t.Fatal(err)
+	}
+	if n := allocs(); n != 0 {
+		t.Fatalf("a recording after a collection allocated %d stream batches, want 0", n)
+	}
+}
+
+// TestConcurrentRecordingsShareBatches: recordings running at once, as
+// harness workers run them, take and return kept batches concurrently;
+// each must still log exactly what a recording on its own logs.
+func TestConcurrentRecordingsShareBatches(t *testing.T) {
+	p, _ := trace.ProfileByName("radiosity")
+	w := p.Generate(4, 2000, 1)
+	opts := DefaultOptions()
+	opts.Atomic = false
+	encode := func() ([]byte, error) {
+		rr, err := Record(w, opts, record.ModeKarma, record.ModeGranule)
+		if err != nil {
+			return nil, err
+		}
+		return relog.EncodeLog(rr.Recording(record.ModeGranule).Log), nil
+	}
+	want, err := encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	got := make([][]byte, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = encode()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("recording %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("recording %d of %d run at once logged %d bytes unlike the lone recording's %d",
+				i, workers, len(got[i]), len(want))
+		}
 	}
 }

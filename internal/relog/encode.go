@@ -138,6 +138,15 @@ func encodedSizes(c *Chunk, prevTS, prevCID int64) (base, full int64) {
 // decoder reads the wire format back. One decoder reads a whole log:
 // each chunk body is decoded in place by pointing b at its bounded
 // sub-slice, so positions inside a body are chunk-relative.
+//
+// The checked readers below (uvarint, varint, count, pid, ...) cannot
+// be inlined, because each can fail. The per-chunk fields therefore
+// parse their common shape inline first: a one-byte length prefix,
+// size, TS delta or count (oneByte, smallCount), and a ref whose core
+// id fits one byte and whose CID fits one or two (refs). Every other
+// case, a longer varint, an out-of-range value or too few bytes left,
+// goes to the checked reader from the same position, so it decodes to
+// the same value or fails with the same error and position.
 type decoder struct {
 	b   []byte
 	pos int
@@ -162,15 +171,30 @@ func (d *decoder) next() (uint64, bool) {
 }
 
 // oneByte reads a value that fits one byte, the common case of every
-// varint field, without a call to binary.Uvarint; false if the next
-// value is longer or the input has ended.
+// varint field, small enough to inline; false, with nothing read, if
+// the next value is longer, the input has ended or decoding has failed.
 func (d *decoder) oneByte() (uint64, bool) {
-	if p := d.pos; p < len(d.b) && d.b[p] < 0x80 {
+	if p := d.pos; p < len(d.b) && d.b[p] < 0x80 && d.err == nil {
 		d.pos = p + 1
 		return uint64(d.b[p]), true
 	}
 	return 0, false
 }
+
+// smallCount is count's common case, small enough to inline: a one-byte
+// count that the remaining input can hold at elemMin bytes an element.
+// It returns false, with nothing read, whenever count would have to
+// read further or check more.
+func (d *decoder) smallCount(elemMin int) (int, bool) {
+	if p := d.pos; p < len(d.b) && d.b[p] < 0x80 && d.err == nil && int(d.b[p])*elemMin <= len(d.b)-p-1 {
+		d.pos = p + 1
+		return int(d.b[p]), true
+	}
+	return 0, false
+}
+
+// unzigzag undoes varint's zigzag encoding.
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
 
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
@@ -197,7 +221,7 @@ func (d *decoder) varint() int64 {
 			d.fail("truncated varint")
 		}
 	}
-	return int64(ux>>1) ^ -int64(ux&1)
+	return unzigzag(ux)
 }
 
 func (d *decoder) byte() byte {
@@ -318,7 +342,10 @@ func take[T any](a *arena, s *slab[T], n int) []T {
 // d.b, into c. The caller sets c.PID, c.CID and c.StartSN. Every count
 // is read and bounded by the remaining bytes before its run is carved.
 func (d *decoder) chunk(a *arena, c *Chunk, prevTS, prevCID int64) {
-	size := d.uvarint()
+	size, ok := d.oneByte()
+	if !ok {
+		size = d.uvarint()
+	}
 	if d.err == nil && (int64(c.StartSN) < 1 ||
 		size > maxChunkSize || int64(size) > maxSN-int64(c.StartSN)) {
 		d.fail("chunk size %d out of range at start SN %d", size, int64(c.StartSN))
@@ -327,9 +354,17 @@ func (d *decoder) chunk(a *arena, c *Chunk, prevTS, prevCID int64) {
 		return
 	}
 	c.EndSN = c.StartSN + SN(size) - 1
-	c.TS = prevTS + d.varint()
+	if ts, ok := d.oneByte(); ok {
+		c.TS = prevTS + unzigzag(ts)
+	} else {
+		c.TS = prevTS + d.varint()
+	}
 	c.Preds = d.refs(a, "pred count")
-	c.DSet = take(a, &a.dset, d.count("D_set count", 3))
+	n, ok := d.smallCount(3)
+	if !ok {
+		n = d.count("D_set count", 3)
+	}
+	c.DSet = take(a, &a.dset, n)
 	for i := 0; i < len(c.DSet) && d.err == nil; i++ {
 		e := &c.DSet[i]
 		e.Offset = d.offset32()
@@ -339,22 +374,53 @@ func (d *decoder) chunk(a *arena, c *Chunk, prevTS, prevCID int64) {
 		}
 		e.Pred = d.refs(a, "D_set pred count")
 	}
-	c.PSet = take(a, &a.pset, d.count("P_set count", 2))
+	if n, ok = d.smallCount(2); !ok {
+		n = d.count("P_set count", 2)
+	}
+	c.PSet = take(a, &a.pset, n)
 	for i := 0; i < len(c.PSet) && d.err == nil; i++ {
 		back := d.varint()
 		c.PSet[i] = PEntry{SrcCID: prevCID - back, Offset: d.offset32()}
 	}
-	c.VLog = take(a, &a.vlog, d.count("V_log count", 9))
+	if n, ok = d.smallCount(9); !ok {
+		n = d.count("V_log count", 9)
+	}
+	c.VLog = take(a, &a.vlog, n)
 	for i := 0; i < len(c.VLog) && d.err == nil; i++ {
 		c.VLog[i] = VEntry{Offset: d.offset32(), Value: d.u64()}
 	}
 }
 
-// refs reads a counted ChunkRef list into a run carved from a.refs.
+// refs reads a counted ChunkRef list into a run carved from a.refs. A
+// ref with a one-byte core id and a one- or two-byte CID is parsed
+// inline; any other goes to pid and varint from its first byte.
 func (d *decoder) refs(a *arena, what string) []ChunkRef {
-	rs := take(a, &a.refs, d.count(what, 2))
-	for i := 0; i < len(rs) && d.err == nil; i++ {
+	n, ok := d.smallCount(2)
+	if !ok {
+		n = d.count(what, 2)
+	}
+	rs := take(a, &a.refs, n)
+	b := d.b
+	for i := range rs {
+		if p := d.pos; p+1 < len(b) && b[p] < 0x80 {
+			pid, c := int(b[p]), uint64(b[p+1])
+			if c < 0x80 {
+				rs[i] = ChunkRef{PID: pid, CID: unzigzag(c)}
+				d.pos = p + 2
+				continue
+			}
+			if p+2 < len(b) && b[p+2] < 0x80 {
+				rs[i] = ChunkRef{PID: pid, CID: unzigzag(c&0x7f | uint64(b[p+2])<<7)}
+				d.pos = p + 3
+				continue
+			}
+		}
+		// A run is carved only while decoding has not failed, and the
+		// loop stops at the first failure.
 		rs[i] = ChunkRef{PID: d.pid(), CID: d.varint()}
+		if d.err != nil {
+			break
+		}
 	}
 	return rs
 }
@@ -439,9 +505,11 @@ func DecodeLog(b []byte) (*Log, error) {
 		var prevTS, prevCID int64
 		startSN := SN(1)
 		for i := 0; i < cnt && d.err == nil; i++ {
-			ln := d.uvarint()
-			if d.err != nil {
-				break
+			ln, ok := d.oneByte()
+			if !ok {
+				if ln = d.uvarint(); d.err != nil {
+					break
+				}
 			}
 			if ln > uint64(len(d.b)-d.pos) {
 				d.fail("chunk of %d bytes on core %d exceeds the remaining input", ln, pid)

@@ -22,7 +22,8 @@ import (
 func entryBudget(n int) int { return n + 16 }
 
 // FuzzDecodeChunk drives the single-chunk decoder with arbitrary bytes
-// and context.
+// and context. Its inline fast paths must agree with the checked
+// readers on every input (checkedChunk).
 func FuzzDecodeChunk(f *testing.F) {
 	c := sampleChunk(0, 5, 101)
 	f.Add(EncodeChunk(c, 3, 4), int64(3), int64(4), int64(101))
@@ -33,6 +34,11 @@ func FuzzDecodeChunk(f *testing.F) {
 			startSN = 1 // keep within DecodeChunk's caller contract
 		}
 		c, used, err := DecodeChunk(b, 0, 0, prevTS, prevCID, SN(startSN))
+		want, wantUsed, wantErr := checkedChunk(b, 0, 0, prevTS, prevCID, SN(startSN))
+		if !reflect.DeepEqual(c, want) || used != wantUsed || !reflect.DeepEqual(err, wantErr) {
+			t.Fatalf("DecodeChunk gives %+v, %d, %v; the checked readers give %+v, %d, %v",
+				c, used, err, want, wantUsed, wantErr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error %v does not wrap ErrCorrupt", err)

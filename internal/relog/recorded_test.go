@@ -19,7 +19,7 @@ var recorded struct {
 // recordedLog returns the encoded Granule log of radiosity 16p×20k with
 // non-atomic writes, seed 2: about 3.4k chunks, 45k preds, and D_set and
 // P_set entries. It is recorded once per test binary.
-func recordedLog(t *testing.T) (*relog.Log, []byte) {
+func recordedLog(t testing.TB) (*relog.Log, []byte) {
 	t.Helper()
 	recorded.once.Do(func() {
 		p, err := trace.ProfileByName("radiosity")
@@ -77,5 +77,32 @@ func TestDecodeLogAllocationsIndependentOfChunks(t *testing.T) {
 	})
 	if allocs > bound {
 		t.Fatalf("DecodeLog of %d chunks made %v allocations, more than %d", chunks, allocs, bound)
+	}
+}
+
+// BenchmarkDecodeLog decodes the recorded log: the wire-level half of
+// opening a saved recording.
+func BenchmarkDecodeLog(b *testing.B) {
+	_, raw := recordedLog(b)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := relog.DecodeLog(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkValidate checks the recorded log's invariants: the semantic
+// half of opening a saved recording.
+func BenchmarkValidate(b *testing.B) {
+	l, _ := recordedLog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := relog.Validate(l); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -43,7 +43,10 @@ func Validate(l *Log) error {
 		return &ValidationError{PID: -1, CID: -1,
 			Msg: fmt.Sprintf("core table has %d entries for %d cores", len(l.PerCore), l.Cores)}
 	}
-	v := &validator{log: l}
+	v := &validator{log: l, lim: make([]int64, l.Cores)}
+	for pid, seq := range l.PerCore {
+		v.lim[pid] = int64(len(seq))
+	}
 	for pid, seq := range l.PerCore {
 		if err := v.core(pid, seq); err != nil {
 			return err
@@ -57,6 +60,12 @@ func Validate(l *Log) error {
 // with large P_sets.
 type validator struct {
 	log *Log
+	// lim[q] is the bound on the CIDs a ref from the chunk being checked
+	// may name on core q: q's chunk count, or on the chunk's own core its
+	// CID, since a same-core ref must point strictly backwards. So a ref
+	// p resolves iff 0 <= p.PID < len(lim) and 0 <= p.CID < lim[p.PID],
+	// the test okRef makes inline; ref builds the error when it fails.
+	lim []int64
 	// stores maps a source CID (current core only) to the offsets of
 	// its delayed (non-load) D_set entries.
 	stores map[int64]map[int32]bool
@@ -101,9 +110,12 @@ func (v *validator) core(pid int, seq []*Chunk) error {
 		nextSN = c.EndSN + 1
 		size := c.Size()
 
+		v.lim[pid] = cid
 		for _, p := range c.Preds {
-			if err := v.ref(pid, cid, "pred", p); err != nil {
-				return err
+			if !v.okRef(p) {
+				if err := v.ref(pid, cid, "pred", p); err != nil {
+					return err
+				}
 			}
 		}
 		var seen map[int32]bool
@@ -121,8 +133,10 @@ func (v *validator) core(pid int, seq []*Chunk) error {
 			}
 			seen[e.Offset] = true
 			for _, p := range e.Pred {
-				if err := v.ref(pid, cid, "D_set pred", p); err != nil {
-					return err
+				if !v.okRef(p) {
+					if err := v.ref(pid, cid, "D_set pred", p); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -152,7 +166,14 @@ func (v *validator) core(pid int, seq []*Chunk) error {
 			}
 		}
 	}
+	v.lim[pid] = int64(len(seq))
 	return nil
+}
+
+// okRef reports, inline, whether p resolves from the chunk being
+// checked: ref would return nil.
+func (v *validator) okRef(p ChunkRef) bool {
+	return uint(p.PID) < uint(len(v.lim)) && uint64(p.CID) < uint64(v.lim[p.PID])
 }
 
 // ref checks that a ChunkRef resolves to an existing chunk and, when it
