@@ -7,16 +7,16 @@
 //
 // The sweep — one job per (app, machine size), each recorded under
 // Karma, Vol and Gra simultaneously and replayed under all three — runs
-// on the internal/harness worker pool, in parallel across GOMAXPROCS,
-// and finished jobs are cached in .pacifier-cache/ so a re-run only
-// simulates what changed.
+// on the internal/harness worker pool, in parallel across GOMAXPROCS.
+// Every run simulates every job, so the tables always come from the
+// code being run.
 //
 // Usage:
 //
 //	experiments            # all figures
 //	experiments -fig 11    # one figure
 //	experiments -ops 4000 -cores 16,32,64
-//	experiments -jobs 8 -no-cache
+//	experiments -jobs 8
 package main
 
 import (
@@ -33,8 +33,6 @@ import (
 
 	"pacifier/internal/harness"
 	"pacifier/internal/record"
-	"pacifier/internal/telemetry"
-	"pacifier/internal/telemetry/telhttp"
 
 	"pacifier"
 )
@@ -63,8 +61,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "simulation seed (>= 1)")
 		jobs       = flag.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
-		cacheDir   = flag.String("cache-dir", harness.DefaultCacheDir, "result cache directory")
-		noCache    = flag.Bool("no-cache", false, "disable the result cache")
 		partialOut = flag.String("partial-out", "experiments_partial.jsonl",
 			"on SIGINT, flush completed results as JSON lines to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -73,14 +69,12 @@ func main() {
 			"capture each job's metrics snapshot and write the full result set as JSON lines to this file")
 		traceDir = flag.String("trace-dir", "",
 			"write per-job Chrome traces (<spec-hash>.trace.json) into this directory")
-		httpAddr   = flag.String("http", "", "serve live telemetry (/metrics, /api/fleet, /debug/pprof) on this address during the sweep")
-		httpLinger = flag.Duration("http-linger", 0, "keep the telemetry server up this long after the sweep finishes")
-		logFormat  = flag.String("log-format", "text", "log output format: text, json")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		logFormat = flag.String("log-format", "text", "log output format: text, json")
+		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
 	)
 	flag.Parse()
 
-	logger, lerr := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
+	logger, lerr := harness.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if lerr != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", lerr)
 		os.Exit(1)
@@ -118,6 +112,10 @@ func main() {
 
 	// Validate everything up front: a bad value must be a clear CLI
 	// error here, not a panic deep inside workload generation.
+	if err := checkFig(*fig); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		finish(1)
+	}
 	if *ops < 1 {
 		fmt.Fprintf(os.Stderr, "bad -ops %d: need at least 1 memory operation per thread\n", *ops)
 		finish(1)
@@ -168,23 +166,10 @@ func main() {
 		}
 	}
 
-	var fleet *telemetry.Fleet
-	stopServe := func() {}
-	if *httpAddr != "" {
-		fleet = telemetry.NewFleet()
-		_, _, stop, serr := telhttp.Serve(*httpAddr, telemetry.Enable(), fleet, logger)
-		if serr != nil {
-			logger.Error("telemetry server failed to start", "err", serr)
-			finish(1)
-		}
-		stopServe = stop
-	}
-
 	opts := harness.Options{
 		Workers:   *jobs,
 		Timeout:   *timeout,
 		Logger:    logger,
-		Fleet:     fleet,
 		Interrupt: interruptChannel(logger),
 	}
 	if *traceDir != "" {
@@ -193,14 +178,6 @@ func main() {
 			finish(1)
 		}
 		opts.TraceDir = *traceDir
-	}
-	if !*noCache {
-		cache, err := harness.OpenCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			finish(1)
-		}
-		opts.Cache = cache
 	}
 
 	outcomes := harness.Run(specs, opts)
@@ -222,15 +199,7 @@ func main() {
 	}
 	logger.Info("sweep done",
 		"jobs", sum.Total, "ok", sum.Succeeded, "failed", sum.Failed,
-		"cache_hits", sum.CacheHits, "cache_misses", sum.CacheMisses,
 		"interrupted", sum.Interrupted, "summary", sum.String())
-	linger := func() {
-		if *httpAddr != "" && *httpLinger > 0 {
-			logger.Info("telemetry server lingering", "for", httpLinger.String())
-			time.Sleep(*httpLinger)
-		}
-		stopServe()
-	}
 
 	if interrupted := sum.Interrupted; interrupted > 0 {
 		// Partial sweep: the figure tables would silently look complete,
@@ -252,7 +221,6 @@ func main() {
 		f.Close()
 		logger.Warn("interrupted: flushed completed results",
 			"done", len(results), "total", len(specs), "file", *partialOut)
-		linger()
 		finish(130)
 	}
 
@@ -280,9 +248,18 @@ func main() {
 
 	harness.FigureTables(os.Stdout, results, *fig)
 
-	linger()
 	if len(failed) > 0 {
 		finish(1)
 	}
 	finish(0)
+}
+
+// checkFig rejects a -fig value that names no table: FigureTables would
+// print nothing for it after running the whole sweep.
+func checkFig(fig int) error {
+	switch fig {
+	case 0, 11, 12, 13, 14:
+		return nil
+	}
+	return fmt.Errorf("bad -fig %d: want 11, 12, 13, 14 (strategy Pareto) or 0 (all)", fig)
 }

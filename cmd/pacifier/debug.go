@@ -9,8 +9,7 @@ import (
 
 	"pacifier"
 	"pacifier/internal/debug"
-	"pacifier/internal/telemetry"
-	"pacifier/internal/telemetry/telhttp"
+	"pacifier/internal/debug/debughttp"
 )
 
 // debugCmd is the `pacifier debug` subcommand: record the reference
@@ -79,13 +78,12 @@ func debugCmd(args []string) {
 	}
 
 	if *httpAddr != "" {
-		srv, bound, stop, err := telhttp.Serve(*httpAddr, telemetry.Default(), nil,
+		bound, stop, err := debughttp.Serve(*httpAddr, ses,
 			slog.New(slog.NewTextHandler(os.Stderr, nil)))
 		if err != nil {
 			fail("%v", err)
 		}
 		defer stop()
-		srv.SetDebug(ses)
 		fmt.Printf("serving         http://%s/api/debug (SSE: /api/debug/stream)\n", bound)
 	}
 

@@ -13,8 +13,6 @@
 //	pacifier debug -app fft -cores 16 fft.rrlog    # time-travel REPL
 //	pacifier profile -app fft -cores 16 -folded fft.folded
 //	pacifier sweep -apps fft,lu -cores 16,32 -format csv
-//	pacifier sweep -apps all -http :9090          # live /metrics + /api/fleet
-//	pacifier serve -http :9090 -apps fft,lu       # continuous soak rounds
 //	pacifier bench -o BENCH.json
 package main
 
@@ -35,8 +33,6 @@ import (
 	"time"
 
 	"pacifier/internal/harness"
-	"pacifier/internal/telemetry"
-	"pacifier/internal/telemetry/telhttp"
 
 	"pacifier"
 )
@@ -44,10 +40,6 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "sweep" {
 		sweep(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		serve(os.Args[2:])
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "bench" {
@@ -499,23 +491,19 @@ func sweep(args []string) {
 		nonatomic  = fs.Bool("nonatomic", false, "model non-atomic writes")
 		jobs       = fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
 		timeout    = fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
-		cacheDir   = fs.String("cache-dir", harness.DefaultCacheDir, "result cache directory")
-		noCache    = fs.Bool("no-cache", false, "disable the result cache")
 		format     = fs.String("format", "jsonl", "output format: jsonl, csv, tables")
 		out        = fs.String("o", "", "write output to this file instead of stdout")
 		metrics    = fs.Bool("metrics", false, "attach each job's full metrics snapshot to its result")
 		traceDir   = fs.String("trace-dir", "", "write per-job Chrome traces (<spec-hash>.trace.json) into this directory")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
-		httpAddr   = fs.String("http", "", "serve live telemetry (/metrics, /api/fleet, /debug/pprof) on this address during the sweep")
-		httpLinger = fs.Duration("http-linger", 0, "keep the telemetry server up this long after the sweep finishes")
 		logFormat  = fs.String("log-format", "text", "log output format: text, json")
 		logLevel   = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		profCycles = fs.Bool("profile-cycles", true, "attribute stall/service cycles per layer and emit the measured record slowdown next to the modeled one (Figure 14's meas%% column)")
 	)
 	fs.Parse(args)
 
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
+	logger, err := harness.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -525,6 +513,9 @@ func sweep(args []string) {
 		fail("%v", err)
 	}
 
+	if err := checkSweepFormat(*format); err != nil {
+		fail("%v", err)
+	}
 	if *ops < 1 {
 		fail("bad -ops %d: need at least 1 memory operation per thread", *ops)
 	}
@@ -594,31 +585,13 @@ func sweep(args []string) {
 		fail("sweep: nothing to run (empty -apps and -litmus)")
 	}
 
-	stopServe := func() {}
-	var fleet *telemetry.Fleet
-	if *httpAddr != "" {
-		fleet = telemetry.NewFleet()
-		_, _, stop, err := telhttp.Serve(*httpAddr, telemetry.Enable(), fleet, logger)
-		if err != nil {
-			fail("%v", err)
-		}
-		stopServe = stop
-	}
-
 	opts := harness.Options{Workers: *jobs, Timeout: *timeout, Logger: logger,
-		Fleet: fleet, Interrupt: interruptChannel(logger)}
+		Interrupt: interruptChannel(logger)}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fail("%v", err)
 		}
 		opts.TraceDir = *traceDir
-	}
-	if !*noCache {
-		cache, err := harness.OpenCache(*cacheDir)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts.Cache = cache
 	}
 
 	outcomes := harness.Run(specs, opts)
@@ -648,28 +621,21 @@ func sweep(args []string) {
 	case "jsonl":
 		if err = harness.WriteJSONL(dst, results); err == nil {
 			// The trailing {"summary": ...} record carries the scheduling
-			// side (cache hits/misses, failures) the results exclude.
+			// side (failures, interruptions, wall time) the results
+			// exclude.
 			err = harness.WriteSummaryJSONL(dst, sum)
 		}
 	case "csv":
 		err = harness.WriteCSV(dst, results)
 	case "tables":
 		harness.FigureTables(dst, results, 0)
-	default:
-		fail("unknown -format %q (valid: jsonl, csv, tables)", *format)
 	}
 	if err != nil {
 		fail("emit: %v", err)
 	}
 	logger.Info("sweep done",
 		"jobs", sum.Total, "ok", sum.Succeeded, "failed", sum.Failed,
-		"cache_hits", sum.CacheHits, "cache_misses", sum.CacheMisses,
 		"interrupted", sum.Interrupted, "summary", sum.String())
-	if *httpAddr != "" && *httpLinger > 0 {
-		logger.Info("telemetry server lingering", "for", httpLinger.String())
-		time.Sleep(*httpLinger)
-	}
-	stopServe()
 	stopProfiles()
 	if sum.Interrupted > 0 {
 		exit(130)
@@ -679,111 +645,14 @@ func sweep(args []string) {
 	}
 }
 
-// serve runs continuous soak rounds of a small sweep while exposing the
-// live telemetry surface — the standing-service mode of the CLI, useful
-// for watching /metrics and /api/fleet/stream against real load, or as a
-// scrape target while tuning dashboards. Each round bumps the seed so
-// the result cache cannot turn later rounds into no-ops.
-func serve(args []string) {
-	fs := flag.NewFlagSet("pacifier serve", flag.ExitOnError)
-	var (
-		httpAddr  = fs.String("http", ":9090", "address to serve telemetry on")
-		appsArg   = fs.String("apps", "fft,lu", `applications to cycle ("all" or a comma list)`)
-		coreArg   = fs.String("cores", "16", "machine sizes (comma list)")
-		ops       = fs.Int("ops", 2000, "memory operations per thread (>= 1)")
-		seed      = fs.Uint64("seed", 1, "base simulation seed (>= 1); round r uses seed+r")
-		modesArg  = fs.String("modes", "karma,vol,gra", "recorder modes, co-recorded per job")
-		jobs      = fs.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
-		timeout   = fs.Duration("timeout", 10*time.Minute, "per-job timeout (0 = none)")
-		rounds    = fs.Int("rounds", 0, "sweep rounds to run (0 = until interrupted)")
-		interval  = fs.Duration("interval", 2*time.Second, "pause between rounds")
-		logFormat = fs.String("log-format", "text", "log output format: text, json")
-		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, error")
-	)
-	fs.Parse(args)
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
-	if err != nil {
-		fail("%v", err)
+// checkSweepFormat rejects an unknown sweep -format before any job runs
+// and before -o is created.
+func checkSweepFormat(format string) error {
+	switch format {
+	case "jsonl", "csv", "tables":
+		return nil
 	}
-	if *ops < 1 {
-		fail("bad -ops %d: need at least 1 memory operation per thread", *ops)
-	}
-	if *seed == 0 {
-		fail("bad -seed 0: the seed drives every random choice and must be >= 1")
-	}
-	var modes []string
-	for _, m := range strings.Split(*modesArg, ",") {
-		m = strings.TrimSpace(m)
-		if _, err := pacifier.ParseMode(m); err != nil {
-			fail("%v", err)
-		}
-		modes = append(modes, m)
-	}
-	apps := pacifier.Apps()
-	if *appsArg != "all" {
-		apps = nil
-		for _, a := range strings.Split(*appsArg, ",") {
-			a = strings.TrimSpace(a)
-			if _, err := pacifier.App(a, 2, 1, 1); err != nil {
-				fail("%v", err)
-			}
-			apps = append(apps, a)
-		}
-	}
-	var cores []int
-	for _, s := range strings.Split(*coreArg, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 2 || n > 64 {
-			fail("bad -cores entry %q", s)
-		}
-		cores = append(cores, n)
-	}
-
-	fleet := telemetry.NewFleet()
-	_, _, stopServe, err := telhttp.Serve(*httpAddr, telemetry.Enable(), fleet, logger)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer stopServe()
-	interrupt := interruptChannel(logger)
-
-	for round := 0; *rounds == 0 || round < *rounds; round++ {
-		select {
-		case <-interrupt:
-			logger.Info("serve stopped", "rounds_completed", round)
-			return
-		default:
-		}
-		var specs []harness.JobSpec
-		for _, a := range apps {
-			for _, n := range cores {
-				specs = append(specs, harness.JobSpec{
-					Kind: "app", Name: a, Cores: n, Ops: *ops,
-					Seed: *seed + uint64(round), Atomic: true,
-					Modes: modes, Replay: true,
-					// Soak rounds profile so the live /metrics surface
-					// carries the pacifier_prof_cycles_total family.
-					ProfileCycles: true,
-				})
-			}
-		}
-		outcomes := harness.Run(specs, harness.Options{
-			Workers: *jobs, Timeout: *timeout,
-			Logger: logger, Fleet: fleet, Interrupt: interrupt,
-		})
-		sum := harness.Summarize(outcomes)
-		logger.Info("soak round complete", "round", round, "summary", sum.String())
-		if sum.Interrupted > 0 {
-			return
-		}
-		select {
-		case <-interrupt:
-			logger.Info("serve stopped", "rounds_completed", round+1)
-			return
-		case <-time.After(*interval):
-		}
-	}
+	return fmt.Errorf("unknown -format %q (valid: jsonl, csv, tables)", format)
 }
 
 // verifyReport is `pacifier verify -json`'s output schema. It shares

@@ -354,7 +354,6 @@ func (h *home) serveGetM(s *homeLine, req noc.NodeID, reqSN SN) {
 	st.owner = int(req)
 	st.sharers = 0
 	st.lw, st.lwValid = writer, true
-	sys.countInvalidations(ackCount)
 	for pid := 0; pid < sys.cfg.Nodes; pid++ {
 		if targets&(1<<uint(pid)) == 0 {
 			continue

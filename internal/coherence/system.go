@@ -6,7 +6,6 @@ import (
 	"pacifier/internal/obs"
 	"pacifier/internal/prof"
 	"pacifier/internal/sim"
-	"pacifier/internal/telemetry"
 )
 
 // Addr aliases the cache package's byte address.
@@ -73,11 +72,6 @@ type System struct {
 	// histogram of stats.
 	tr      *obs.Tracer
 	hInvLat *sim.Histogram
-	// Live telemetry handles, resolved once at construction; nil while
-	// telemetry is disabled (one compare per emit, zero allocations).
-	tmInvals *telemetry.Counter
-	tmInvLat *telemetry.Histogram
-	tmInvFan *telemetry.Histogram
 }
 
 // SetTracer attaches (or detaches, with nil) an event tracer.
@@ -105,9 +99,6 @@ func (s *System) traceMESI(pid int, l cache.Line, old, new cache.State) {
 
 // observeInvLatency samples one completed invalidation-ack epoch.
 func (s *System) observeInvLatency(d sim.Cycle) {
-	if s.tmInvLat != nil {
-		s.tmInvLat.Observe(int64(d))
-	}
 	if s.stats == nil {
 		return
 	}
@@ -115,15 +106,6 @@ func (s *System) observeInvLatency(d sim.Cycle) {
 		s.hInvLat = s.stats.Histogram("coherence.inv_ack_latency")
 	}
 	s.hInvLat.Observe(int64(d))
-}
-
-// countInvalidations records one write epoch invalidating fan sharers.
-func (s *System) countInvalidations(fan int) {
-	if s.tmInvals == nil || fan == 0 {
-		return
-	}
-	s.tmInvals.Add(int64(fan))
-	s.tmInvFan.Observe(int64(fan))
 }
 
 // NewSystem builds the memory system. obs may be nil for a bare machine.
@@ -142,9 +124,6 @@ func NewSystem(eng *sim.Engine, mesh *noc.Mesh, cfg Config, stats *sim.Stats, ob
 		obs:       obs,
 		lineWords: uint(cfg.L1.LineBytes / 8),
 	}
-	s.tmInvals = telemetry.C("pacifier_coherence_invalidations_total", "Sharer invalidations sent by the directory.")
-	s.tmInvLat = telemetry.H("pacifier_coherence_inv_ack_latency_cycles", "Invalidation-ack epoch latency in cycles.")
-	s.tmInvFan = telemetry.H("pacifier_coherence_invalidation_fanout_sharers", "Sharers invalidated per write epoch.")
 	for i := 0; i < cfg.Nodes; i++ {
 		s.homes = append(s.homes, newHome(s, noc.NodeID(i)))
 	}

@@ -17,7 +17,6 @@ import (
 	"pacifier/internal/relog"
 	"pacifier/internal/replay"
 	"pacifier/internal/sim"
-	"pacifier/internal/telemetry"
 	"pacifier/internal/trace"
 )
 
@@ -174,9 +173,6 @@ func recordRun(w *trace.Workload, opts Options, modes []record.Mode,
 	}
 	m.Stats.Fold(rstats)
 	opts.Tracer.Fold(rtrace)
-	if opts.ProfileCycles {
-		publishProfTelemetry(rr.Stats)
-	}
 	return rr, nil
 }
 
@@ -193,17 +189,6 @@ func (rr *RunResult) MeasuredRecordSlowdown(rec *Recording) float64 {
 		return 0
 	}
 	return float64(rec.ProfCycles) / float64(rr.NativeCycles)
-}
-
-// publishProfTelemetry exports per-component machine-wide totals as the
-// pacifier_prof_cycles_total{component=...} telemetry family.
-func publishProfTelemetry(st *sim.Stats) {
-	rep := prof.FromStats(st)
-	for _, c := range prof.Components() {
-		telemetry.C("pacifier_prof_cycles_total",
-			"Attributed stall/service cycles by component (cycle-accounting profiler).",
-			telemetry.Label{Key: "component", Value: c.String()}).Add(rep.Total[c])
-	}
 }
 
 func maxPW(r *record.Recorder, n int) int {

@@ -2,7 +2,7 @@ package debug
 
 import "sync"
 
-// Publisher fans position updates out to subscribers (the telhttp SSE
+// Publisher fans position updates out to subscribers (the debughttp SSE
 // stream). Sends never block the debugging session: a subscriber whose
 // buffer is full loses intermediate updates and receives the next one —
 // positions are absolute, so a dropped update is only a skipped frame,

@@ -387,7 +387,7 @@ func (s *Session) TraceWindow(from, to int64, path string) error {
 }
 
 // ---------------------------------------------------------------------
-// Live state for telhttp
+// Live state for debughttp
 // ---------------------------------------------------------------------
 
 // Status is the session state served at /api/debug.
@@ -437,7 +437,7 @@ func (s *Session) Status() Status {
 	return st
 }
 
-// DebugJSON implements telhttp.DebugSource.
+// DebugJSON implements debughttp.DebugSource.
 func (s *Session) DebugJSON() []byte {
 	b, err := json.Marshal(s.Status())
 	if err != nil {
@@ -446,7 +446,7 @@ func (s *Session) DebugJSON() []byte {
 	return b
 }
 
-// DebugSubscribe implements telhttp.DebugSource: each published
+// DebugSubscribe implements debughttp.DebugSource: each published
 // position update is one JSON-encoded Status.
 func (s *Session) DebugSubscribe(buf int) (<-chan []byte, func()) {
 	return s.pub.Subscribe(buf)

@@ -3,16 +3,15 @@
 // simulation jobs — each one full pacifier record + replay of a
 // (workload, cores, ops, seed, atomicity, modes) configuration — out
 // across a worker pool, recovers from per-job panics, enforces per-job
-// timeouts, caches finished results on disk keyed by a content hash of
-// the spec, and aggregates everything into a deterministic,
+// timeouts, and aggregates everything into a deterministic,
 // order-independent result set that the emitters (JSON lines, CSV, the
 // paper's figure tables) all render from.
 //
 // Every figure of the paper (Figs. 11–13, the Table 2 ablations) is a
-// reduction over dozens of such independent jobs, so the harness is what
-// makes regenerating the evaluation cheap: a parallel sweep and a serial
-// sweep of the same specs produce byte-identical result sets, and a
-// re-run only simulates the specs whose results are not already cached.
+// reduction over dozens of such independent jobs. A parallel sweep and
+// a serial sweep of the same specs produce byte-identical result sets,
+// and every sweep simulates every job: the whole evaluation reruns in
+// seconds, so no stored result can outlive the code that made it.
 package harness
 
 import (
@@ -25,11 +24,11 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"pacifier/internal/sim"
-	"pacifier/internal/telemetry"
 )
 
 // ErrInterrupted marks jobs that were never dispatched because the sweep
@@ -44,15 +43,14 @@ var ErrPanicked = errors.New("harness: job panicked")
 // errors.Is.
 var ErrTimeout = errors.New("harness: job exceeded timeout")
 
-// cacheVersion is folded into every spec hash; bump it whenever the
-// simulator, the recorders or the Result schema change meaning, so stale
-// cache entries from older module versions can never be served.
-const cacheVersion = "pacifier-harness-v2"
+// specHashSalt is folded into every spec hash. It is fixed: the hash
+// names a job in JSONL output, trace file names and the bench digests,
+// so changing the salt renames every job without changing any result.
+const specHashSalt = "pacifier-harness-v2"
 
 // JobSpec identifies one simulation job completely: hashing two equal
-// specs yields the same key, so a spec is also the cache key for its
-// result. The zero values of the optional knobs (MaxChunkOps, MaxCycles)
-// select the core package defaults.
+// specs yields the same key. The zero values of the optional knobs
+// (MaxChunkOps, MaxCycles) select the core package defaults.
 type JobSpec struct {
 	// Kind selects the workload generator: "app" (a SPLASH-2-like
 	// profile; Cores/Ops/Seed apply) or "litmus" (a fixed litmus test;
@@ -94,15 +92,15 @@ type JobSpec struct {
 }
 
 // Hash returns the spec's content hash — a hex SHA-256 over the
-// canonical JSON encoding of the spec plus the harness cache version.
-// It is the job's identity for caching and result-set ordering.
+// canonical JSON encoding of the spec plus a fixed salt. It is the
+// job's identity in emitted results and their canonical ordering.
 func (s JobSpec) Hash() string {
 	blob, err := json.Marshal(s)
 	if err != nil {
 		panic(fmt.Sprintf("harness: spec not marshalable: %v", err))
 	}
 	h := sha256.New()
-	io.WriteString(h, cacheVersion)
+	io.WriteString(h, specHashSalt)
 	h.Write([]byte{0})
 	h.Write(blob)
 	return hex.EncodeToString(h.Sum(nil))
@@ -143,8 +141,7 @@ type ModeResult struct {
 	// LHBMax is the Fig. 13 metric (high-water LHB occupancy).
 	LHBMax int `json:"lhb_max"`
 	// RecordSlowdown is the modeled record-phase slowdown (fraction of
-	// native cycles; see record.RecordSlowdown). Omitempty keeps results
-	// from older cached runs decoding unchanged.
+	// native cycles; see record.RecordSlowdown).
 	RecordSlowdown float64 `json:"record_slowdown,omitempty"`
 	// MeasuredRecordSlowdown is the measured record-phase slowdown —
 	// recorder stall cycles attributed live by the cycle-accounting
@@ -187,13 +184,12 @@ func (r *Result) Mode(name string) *ModeResult {
 }
 
 // Outcome wraps a Result with the scheduling metadata that is NOT part
-// of the deterministic result set: wall time, cache provenance, errors.
+// of the deterministic result set: wall time and errors.
 type Outcome struct {
 	Spec   JobSpec
 	Hash   string
 	Result *Result // nil if the job failed
 	Err    error   // non-nil if the job panicked, timed out or errored
-	Cached bool    // served from the on-disk result cache
 	Wall   time.Duration
 }
 
@@ -206,36 +202,53 @@ type Options struct {
 	// sibling jobs; its goroutine is abandoned (Go cannot kill it) and
 	// its result, if it ever finishes, is discarded.
 	Timeout time.Duration
-	// Cache, if non-nil, is consulted before running a job and updated
-	// after a successful run.
-	Cache *Cache
-	// Progress, if non-nil, receives one line per finished job with a
-	// running count, cache statistics and an ETA (stderr in the CLIs).
-	Progress io.Writer
 	// Interrupt, if non-nil, stops the sweep early when it becomes
 	// readable (closed or sent to): jobs already dispatched finish
 	// normally and keep their results; jobs never dispatched come back
 	// with Err wrapping ErrInterrupted. The CLIs connect it to SIGINT so
 	// a ^C still flushes every completed result.
 	Interrupt <-chan struct{}
-	// TraceDir, if non-empty, makes every executed (non-cached) job
-	// write a Chrome trace-event file <spec-hash>.trace.json of its
-	// record and replay event streams into that directory. Trace files
-	// are written atomically, so an interrupt never leaves a truncated
-	// one. Cache hits skip execution and therefore write no trace.
+	// TraceDir, if non-empty, makes every executed job write a Chrome
+	// trace-event file <spec-hash>.trace.json of its record and replay
+	// event streams into that directory. Trace files are written
+	// atomically, so an interrupt never leaves a truncated one.
 	TraceDir string
-	// Fleet, if non-nil, receives live job-state transitions
-	// (queued/running/done/failed/cached/skipped) for the telemetry
-	// server's /api/fleet endpoints. Nil-safe: a nil fleet is a no-op.
-	Fleet *telemetry.Fleet
-	// Logger, if non-nil, receives the per-job progress records instead
-	// of a plain text logger built over Progress.
+	// Logger, if non-nil, receives one record per finished job with a
+	// running count and an ETA (stderr in the CLIs; see NewLogger).
 	Logger *slog.Logger
 
 	// Run overrides job execution (nil = Execute, or ExecuteTraced when
 	// TraceDir is set). Tests and the bench module's per-job timing
 	// use it; everything else should leave it nil.
 	Run func(JobSpec) (*Result, error)
+}
+
+// NewLogger builds the structured logger behind every CLI's -log-format
+// and -log-level flags, which the CLIs pass to sweeps as Options.Logger:
+// format is "text" or "json", level is one of debug|info|warn|error.
+// The zero values ("", "") mean text at info.
+func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
+	var lv slog.Level
+	switch strings.ToLower(level) {
+	case "", "info":
+		lv = slog.LevelInfo
+	case "debug":
+		lv = slog.LevelDebug
+	case "warn", "warning":
+		lv = slog.LevelWarn
+	case "error":
+		lv = slog.LevelError
+	default:
+		return nil, fmt.Errorf("harness: unknown log level %q (valid: debug, info, warn, error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lv}
+	switch strings.ToLower(format) {
+	case "", "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	}
+	return nil, fmt.Errorf("harness: unknown log format %q (valid: text, json)", format)
 }
 
 // Run executes every spec on a worker pool and returns one Outcome per
@@ -263,18 +276,17 @@ func Run(specs []JobSpec, opts Options) []Outcome {
 	idx := make(chan int)
 	var wg sync.WaitGroup
 
-	prog := newProgress(opts.Progress, opts.Logger, len(specs))
-	fleetIDs := make([]int, len(specs))
-	for i, s := range specs {
-		fleetIDs[i] = opts.Fleet.Add(s.Label(), s.Hash())
-	}
+	prog := newProgress(opts.Logger, len(specs))
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				outcomes[i] = runOne(specs[i], opts, runJob, fleetIDs[i])
+				start := time.Now()
+				res, err := runGuarded(specs[i], opts.Timeout, runJob)
+				outcomes[i] = Outcome{Spec: specs[i], Hash: specs[i].Hash(),
+					Result: res, Err: err, Wall: time.Since(start)}
 				prog.done(outcomes[i])
 			}
 		}()
@@ -291,7 +303,6 @@ dispatch:
 					Spec: specs[j], Hash: specs[j].Hash(),
 					Err: fmt.Errorf("%w: %s", ErrInterrupted, specs[j].Label()),
 				}
-				opts.Fleet.Finish(fleetIDs[j], telemetry.StateSkipped, 0, "interrupted")
 			}
 			break dispatch
 		case idx <- i:
@@ -300,54 +311,6 @@ dispatch:
 	close(idx)
 	wg.Wait()
 	return outcomes
-}
-
-// runOne runs a single job: cache lookup, guarded execution with
-// timeout, cache store. It publishes the job's lifecycle to opts.Fleet
-// and to the process-global telemetry counters; both are nil-safe no-ops
-// when monitoring is off, and neither ever feeds the deterministic
-// Outcome, so live monitoring cannot perturb result sets.
-func runOne(spec JobSpec, opts Options, runJob func(JobSpec) (*Result, error), fleetID int) Outcome {
-	start := time.Now()
-	hash := spec.Hash()
-	o := Outcome{Spec: spec, Hash: hash}
-	opts.Fleet.Start(fleetID)
-	telemetry.C("pacifier_harness_jobs_started_total", "Jobs dispatched to the worker pool.").Add(1)
-
-	if opts.Cache != nil {
-		if res, ok := opts.Cache.Get(hash); ok {
-			o.Result, o.Cached, o.Wall = res, true, time.Since(start)
-			opts.Fleet.Finish(fleetID, telemetry.StateCached, o.Wall, "")
-			telemetry.C("pacifier_harness_cache_hits_total", "Jobs served from the on-disk result cache.").Add(1)
-			return o
-		}
-		telemetry.C("pacifier_harness_cache_misses_total", "Jobs that had to simulate (no cached result).").Add(1)
-	}
-
-	res, err := runGuarded(spec, opts.Timeout, runJob)
-	o.Result, o.Err, o.Wall = res, err, time.Since(start)
-
-	switch {
-	case err == nil:
-		opts.Fleet.Finish(fleetID, telemetry.StateDone, o.Wall, "")
-		telemetry.C("pacifier_harness_jobs_completed_total", "Jobs that simulated successfully.").Add(1)
-	default:
-		opts.Fleet.Finish(fleetID, telemetry.StateFailed, o.Wall, err.Error())
-		telemetry.C("pacifier_harness_jobs_failed_total", "Jobs that errored, panicked or timed out.").Add(1)
-		if errors.Is(err, ErrPanicked) {
-			telemetry.C("pacifier_harness_jobs_panicked_total", "Jobs whose simulation goroutine panicked.").Add(1)
-		}
-		if errors.Is(err, ErrTimeout) {
-			telemetry.C("pacifier_harness_jobs_timedout_total", "Jobs that exceeded the per-job timeout.").Add(1)
-		}
-	}
-
-	if err == nil && opts.Cache != nil {
-		// A cache write failure degrades to a miss on the next run; it
-		// must not fail a job that simulated successfully.
-		_ = opts.Cache.Put(res)
-	}
-	return o
 }
 
 // jobReply carries a guarded job's result out of its goroutine.
@@ -430,17 +393,11 @@ type Summary struct {
 	Succeeded   int   `json:"succeeded"`
 	Failed      int   `json:"failed"`
 	Interrupted int   `json:"interrupted"`
-	CacheHits   int   `json:"cache_hits"`
-	CacheMisses int   `json:"cache_misses"`
 	WallMS      int64 `json:"wall_ms"` // summed per-job wall time
-	// CacheHitRate is hits over completed (hits + misses) jobs. It is
-	// defined as 0 — never NaN — when the sweep was interrupted before
-	// any job completed, so the JSONL summary record stays valid JSON.
-	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 
 // Summarize reduces a sweep's outcomes to its Summary. Interrupted jobs
-// count as neither failed nor cache misses: they never ran.
+// count as neither succeeded nor failed: they never ran.
 func Summarize(outcomes []Outcome) Summary {
 	var s Summary
 	s.Total = len(outcomes)
@@ -451,57 +408,35 @@ func Summarize(outcomes []Outcome) Summary {
 			s.Interrupted++
 		case o.Err != nil:
 			s.Failed++
-			s.CacheMisses++
-		case o.Cached:
-			s.Succeeded++
-			s.CacheHits++
 		default:
 			s.Succeeded++
-			s.CacheMisses++
 		}
-	}
-	// Guard the 0/0 path: a sweep cancelled before any job finishes
-	// has no completed jobs to take a rate over.
-	if completed := s.CacheHits + s.CacheMisses; completed > 0 {
-		s.CacheHitRate = float64(s.CacheHits) / float64(completed)
 	}
 	return s
 }
 
 // String renders the one-line sweep summary.
 func (s Summary) String() string {
-	line := fmt.Sprintf("%d jobs: %d ok, %d failed, cache %d hits / %d misses",
-		s.Total, s.Succeeded, s.Failed, s.CacheHits, s.CacheMisses)
+	line := fmt.Sprintf("%d jobs: %d ok, %d failed", s.Total, s.Succeeded, s.Failed)
 	if s.Interrupted > 0 {
 		line += fmt.Sprintf(", %d interrupted", s.Interrupted)
 	}
 	return line
 }
 
-// progress serializes completion reporting across workers. Reporting is
-// structured: an explicit Logger wins; otherwise a text slog handler is
-// built over the Progress writer, preserving the one-line-per-job
-// contract on stderr.
+// progress serializes completion reporting across workers: one
+// structured record per finished job on the sweep's Logger.
 type progress struct {
-	mu      sync.Mutex
-	log     *slog.Logger
-	total   int
-	done_   int
-	cached  int
-	failed  int
-	start   time.Time
-	simWall time.Duration // wall time of non-cached jobs, for the ETA
+	mu     sync.Mutex
+	log    *slog.Logger
+	total  int
+	done_  int
+	failed int
+	start  time.Time
 }
 
-func newProgress(w io.Writer, logger *slog.Logger, total int) *progress {
-	p := &progress{total: total, start: time.Now()}
-	switch {
-	case logger != nil:
-		p.log = logger
-	case w != nil:
-		p.log = slog.New(slog.NewTextHandler(w, nil))
-	}
-	return p
+func newProgress(logger *slog.Logger, total int) *progress {
+	return &progress{log: logger, total: total, start: time.Now()}
 }
 
 func (p *progress) done(o Outcome) {
@@ -512,31 +447,17 @@ func (p *progress) done(o Outcome) {
 	defer p.mu.Unlock()
 	p.done_++
 	status := "ok"
-	switch {
-	case o.Err != nil:
+	if o.Err != nil {
 		p.failed++
 		status = "FAILED"
-	case o.Cached:
-		p.cached++
-		status = "cached"
 	}
-	if !o.Cached && o.Err == nil {
-		p.simWall += o.Wall
-	}
-	eta := "?"
-	if ran := p.done_ - p.cached; ran > 0 {
-		perJob := time.Since(p.start) / time.Duration(p.done_)
-		remaining := perJob * time.Duration(p.total-p.done_)
-		eta = remaining.Round(100 * time.Millisecond).String()
-	} else if p.done_ > 0 { // everything cached so far: ETA is effectively zero
-		eta = "0s"
-	}
+	perJob := time.Since(p.start) / time.Duration(p.done_)
+	eta := (perJob * time.Duration(p.total-p.done_)).Round(100 * time.Millisecond)
 	p.log.Info("harness job finished",
 		"progress", fmt.Sprintf("%d/%d", p.done_, p.total),
 		"status", status,
 		"job", o.Spec.Label(),
 		"wall", o.Wall.Round(time.Millisecond).String(),
-		"cached", p.cached,
 		"failed", p.failed,
-		"eta", eta)
+		"eta", eta.String())
 }

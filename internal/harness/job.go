@@ -9,7 +9,6 @@ import (
 	"pacifier/internal/record"
 	"pacifier/internal/relog"
 	"pacifier/internal/replay"
-	"pacifier/internal/telemetry"
 	"pacifier/internal/trace"
 )
 
@@ -136,8 +135,6 @@ func executeWith(spec JobSpec, tr *obs.Tracer, traceDir string) (*Result, error)
 			mr.RecordSlowdownCompressed = record.RecordSlowdownCompressed(
 				rec.LogStats, rec.LogStats.TotalBytes, mr.CompressedBytes, res.NativeCycles)
 		}
-		telemetry.C("pacifier_record_log_bytes_total", "Encoded log bytes produced.",
-			telemetry.Label{Key: "mode", Value: m.String()}).Add(rec.LogStats.TotalBytes)
 		if spec.Replay {
 			rep, err := core.ReplayTraced(rr, m, 0, tr)
 			if err != nil {

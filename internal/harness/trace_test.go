@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pacifier/internal/obs"
-	"pacifier/internal/telemetry"
 )
 
 // traceSpecs are small, fast jobs that still exercise record + replay.
@@ -91,51 +90,5 @@ func TestTracedResultsMatchUntraced(t *testing.T) {
 			t.Errorf("mode %s results differ with tracing: %+v vs %+v",
 				plain.Modes[i].Mode, plain.Modes[i], traced.Modes[i])
 		}
-	}
-}
-
-// TestTelemetryEnabledResultsMatchBare pins the determinism contract of
-// the live telemetry registry: enabling it (with and without tracing on
-// top) must leave every deterministic Result field identical to a bare
-// run, because telemetry never feeds Results.
-func TestTelemetryEnabledResultsMatchBare(t *testing.T) {
-	spec := JobSpec{Kind: "app", Name: "fft", Cores: 4, Ops: 120, Seed: 1,
-		Atomic: true, Modes: []string{"gra"}, Replay: true}
-	bare, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	telemetry.Enable()
-	live, err := Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracedLive, err := ExecuteTraced(spec, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, got := range []*Result{live, tracedLive} {
-		if bare.NativeCycles != got.NativeCycles || bare.MemOps != got.MemOps {
-			t.Errorf("telemetry changed the execution: cycles %d vs %d, ops %d vs %d",
-				bare.NativeCycles, got.NativeCycles, bare.MemOps, got.MemOps)
-		}
-		if len(bare.Modes) != len(got.Modes) {
-			t.Fatalf("mode counts differ")
-		}
-		for i := range bare.Modes {
-			if !reflect.DeepEqual(bare.Modes[i], got.Modes[i]) {
-				t.Errorf("mode %s results differ with telemetry: %+v vs %+v",
-					bare.Modes[i].Mode, bare.Modes[i], got.Modes[i])
-			}
-		}
-	}
-
-	// Prove the enabled path was actually exercised, not silently skipped.
-	chunks := telemetry.C("pacifier_record_chunks_total", "",
-		telemetry.Label{Key: "mode", Value: "gra"})
-	if chunks == nil || chunks.Value() == 0 {
-		t.Error("telemetry enabled but no record chunks were counted")
 	}
 }

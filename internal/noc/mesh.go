@@ -15,7 +15,6 @@ import (
 	"pacifier/internal/obs"
 	"pacifier/internal/prof"
 	"pacifier/internal/sim"
-	"pacifier/internal/telemetry"
 )
 
 // NodeID identifies a mesh node (a tile: one core + one L2/directory bank).
@@ -59,10 +58,6 @@ type Mesh struct {
 	// Lazily resolved stat counters: Send is the hottest path in the
 	// simulator and must not pay a string-keyed lookup per message.
 	cMessages, cFlits, cHopCycles *sim.Counter
-	// Live telemetry handles, resolved once at construction; nil (one
-	// compare per Send, zero allocations) while telemetry is disabled.
-	tmMessages, tmFlits *telemetry.Counter
-	tmLatency           *telemetry.Histogram
 	// tr, when non-nil, receives one send and one recv event per
 	// message. The nil check is the entire disabled-tracing cost.
 	tr *obs.Tracer
@@ -98,9 +93,6 @@ func New(eng *sim.Engine, cfg Config, stats *sim.Stats) *Mesh {
 	}
 	w, h := Dimensions(cfg.Nodes)
 	m := &Mesh{cfg: cfg, width: w, height: h, eng: eng, stats: stats}
-	m.tmMessages = telemetry.C("pacifier_noc_messages_total", "Mesh messages injected.")
-	m.tmFlits = telemetry.C("pacifier_noc_flits_total", "Mesh flits injected.")
-	m.tmLatency = telemetry.H("pacifier_noc_message_latency_cycles", "End-to-end mesh message latency in cycles.")
 	m.lastArrival = make([][]sim.Cycle, cfg.Nodes)
 	for i := range m.lastArrival {
 		m.lastArrival[i] = make([]sim.Cycle, cfg.Nodes)
@@ -177,11 +169,6 @@ func (m *Mesh) Send(src, dst NodeID, flits int, fn func()) {
 		m.cMessages.Value++
 		m.cFlits.Value += int64(flits)
 		m.cHopCycles.Value += int64(m.Hops(src, dst)) * int64(m.cfg.HopLatency)
-	}
-	if m.tmMessages != nil {
-		m.tmMessages.Add(1)
-		m.tmFlits.Add(int64(flits))
-		m.tmLatency.Observe(int64(arrive - m.eng.Now()))
 	}
 	if m.tr != nil {
 		now := int64(m.eng.Now())

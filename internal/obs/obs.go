@@ -14,8 +14,6 @@ package obs
 import (
 	"fmt"
 	"sync"
-
-	"pacifier/internal/telemetry"
 )
 
 // Kind enumerates the typed events the stack emits.
@@ -137,19 +135,12 @@ type Tracer struct {
 	// and counted rather than growing without bound.
 	limit   int
 	dropped int64
-	// Live telemetry (nil while telemetry is disabled).
-	tmEmitted, tmDropped *telemetry.Counter
 }
 
 // New returns an enabled tracer. The label names the trace (it becomes
 // the Chrome trace's process label suffix).
 func New(label string) *Tracer {
-	return &Tracer{
-		label:     label,
-		events:    make([]Event, 0, 1024),
-		tmEmitted: telemetry.C("pacifier_obs_events_emitted_total", "Trace events buffered by tracers."),
-		tmDropped: telemetry.C("pacifier_obs_events_dropped_total", "Trace events dropped at a tracer's buffer limit."),
-	}
+	return &Tracer{label: label, events: make([]Event, 0, 1024)}
 }
 
 // SetLimit caps the event buffer at n events (0 restores unbounded).
@@ -190,12 +181,10 @@ func (t *Tracer) Emit(e Event) {
 	if t.limit > 0 && len(t.events) >= t.limit {
 		t.dropped++
 		t.mu.Unlock()
-		t.tmDropped.Add(1)
 		return
 	}
 	t.events = append(t.events, e)
 	t.mu.Unlock()
-	t.tmEmitted.Add(1)
 }
 
 // Len returns the number of buffered events (0 for a nil tracer).
@@ -224,9 +213,8 @@ func (t *Tracer) Events() []Event {
 // Buffer returns a tracer that only buffers: events emitted into it
 // reach t when t folds the buffer in (Fold). A goroutine whose events
 // must land in t in an order of its own emits into a buffer of its
-// own. The buffer has t's label and limit (Fold could keep no more) and
-// counts no telemetry; Fold counts each event into t's. Buffer returns
-// nil for a nil t, so emit sites keep their nil check.
+// own. The buffer has t's label and limit (Fold could keep no more).
+// Buffer returns nil for a nil t, so emit sites keep their nil check.
 func (t *Tracer) Buffer() *Tracer {
 	if t == nil {
 		return nil
@@ -238,8 +226,8 @@ func (t *Tracer) Buffer() *Tracer {
 
 // Fold appends the events buffered in b to t in b's emit order, exactly
 // as if each had been emitted into t at this point (t's limit applies
-// and its telemetry counts them), then empties b. A nil t or b is a
-// no-op.
+// and its drop count counts the overflow), then empties b. A nil t or b
+// is a no-op.
 func (t *Tracer) Fold(b *Tracer) {
 	if t == nil || b == nil {
 		return
@@ -254,11 +242,8 @@ func (t *Tracer) Fold(b *Tracer) {
 		kept = max(0, min(kept, t.limit-len(t.events)))
 	}
 	t.events = append(t.events, evs[:kept]...)
-	dropped := int64(len(evs)-kept) + bdropped
-	t.dropped += dropped
+	t.dropped += int64(len(evs)-kept) + bdropped
 	t.mu.Unlock()
-	t.tmEmitted.Add(int64(kept))
-	t.tmDropped.Add(dropped)
 }
 
 // Reset discards all buffered events.

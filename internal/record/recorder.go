@@ -21,7 +21,6 @@ import (
 	"pacifier/internal/relog"
 	"pacifier/internal/scvd"
 	"pacifier/internal/sim"
-	"pacifier/internal/telemetry"
 	"pacifier/internal/trace"
 )
 
@@ -92,12 +91,6 @@ type Recorder struct {
 	// lat, when non-nil, accumulates measured recorder-induced cycles
 	// (per-event costs charged at the live event sites).
 	lat *prof.RecLat
-
-	// Live telemetry handles (mode-labeled), resolved once at
-	// construction; nil (one compare per emit, zero allocations) while
-	// telemetry is disabled.
-	tmChunks, tmSCVs, tmDset, tmVlog *telemetry.Counter
-	tmChunkOps                       *telemetry.Histogram
 }
 
 func (r *Recorder) inc(cp **sim.Counter, name string) {
@@ -132,12 +125,6 @@ func NewRecorder(cfg Config, clock Clock, stats *sim.Stats) *Recorder {
 	if stats != nil {
 		r.hChunk = stats.Histogram("record.chunk_ops." + cfg.Mode.String())
 	}
-	mode := telemetry.Label{Key: "mode", Value: cfg.Mode.String()}
-	r.tmChunks = telemetry.C("pacifier_record_chunks_total", "Chunks committed by the recorder.", mode)
-	r.tmSCVs = telemetry.C("pacifier_record_scv_logged_total", "Delayed stores the SCV detector logged.", mode)
-	r.tmDset = telemetry.C("pacifier_record_dset_entries_total", "D_set entries logged.", mode)
-	r.tmVlog = telemetry.C("pacifier_record_vlog_entries_total", "Value-log entries logged.", mode)
-	r.tmChunkOps = telemetry.H("pacifier_record_chunk_ops", "Operations per committed chunk.", mode)
 	for pid := 0; pid < cfg.Cores; pid++ {
 		cs := &coreState{
 			pw:         NewPendingWindow(cfg.PWSize),
@@ -350,10 +337,6 @@ func (r *Recorder) emit(pid int, c *chunkState) {
 	r.lat.Add(pid, CostChunkCommit)
 	if r.hChunk != nil {
 		r.hChunk.Observe(int64(c.endSN - c.startSN + 1))
-	}
-	if r.tmChunks != nil {
-		r.tmChunks.Add(1)
-		r.tmChunkOps.Observe(int64(c.endSN - c.startSN + 1))
 	}
 	if r.tr != nil {
 		r.tr.ChunkCommit(r.trMode, pid, c.cid, int64(c.start), int64(c.start)+int64(dur),
@@ -643,7 +626,6 @@ func (r *Recorder) cyclicTermination(pid int, d coherence.Dependence,
 		}
 		r.stageDelayed(pid, dinst, srcRef)
 		r.inc(&r.cScvLogged, "record.scv_logged")
-		r.tmSCVs.Add(1)
 	}
 }
 
@@ -816,7 +798,6 @@ func (r *Recorder) finalizeDelayed(pid int, sn SN, e *pwEntry, st *stagedDelayed
 	ch.dset = append(ch.dset, entry)
 	r.lat.Add(pid, CostLogEntry)
 	r.inc(&r.cDsetEntries, "record.dset_entries")
-	r.tmDset.Add(1)
 }
 
 func mergePreds(a, b []relog.ChunkRef) []relog.ChunkRef {
@@ -866,7 +847,6 @@ func (r *Recorder) addVLog(pid int, sn SN, val uint64) {
 	cs.vlogged[sn] = struct{}{}
 	r.lat.Add(pid, CostLogEntry)
 	r.inc(&r.cVlogEntries, "record.vlog_entries")
-	r.tmVlog.Add(1)
 	ch := r.chunkStateOf(cs, sn)
 	if ch == nil || ch == cs.cc {
 		cs.pendingVLog = append(cs.pendingVLog, relog.VEntrySN{SN: sn, Value: val})

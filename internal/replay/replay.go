@@ -29,7 +29,6 @@ import (
 	"pacifier/internal/prof"
 	"pacifier/internal/relog"
 	"pacifier/internal/sim"
-	"pacifier/internal/telemetry"
 	"pacifier/internal/trace"
 )
 
@@ -197,10 +196,6 @@ type replayer struct {
 	// accumulators, decoded into Result.Prof at the end.
 	profStats *sim.Stats
 	lat       []*prof.Lat
-	// Live telemetry handles, resolved once at construction; nil (one
-	// compare per emit, zero allocations) while telemetry is disabled.
-	tmChunks, tmOps, tmMismatches *telemetry.Counter
-	tmStall                       *telemetry.Histogram
 	// cur/curStart scope divergences to the chunk being executed.
 	cur      *relog.Chunk
 	curStart sim.Cycle
@@ -318,9 +313,6 @@ func (r *replayer) execute(c *relog.Chunk) (sim.Cycle, sim.Cycle) {
 	if r.hStall != nil {
 		r.hStall.Observe(int64(stall))
 	}
-	if r.tmStall != nil {
-		r.tmStall.Observe(int64(stall))
-	}
 	r.cur, r.curStart = c, startAt
 
 	// Functional: compensation stores.
@@ -381,10 +373,6 @@ func (r *replayer) execute(c *relog.Chunk) (sim.Cycle, sim.Cycle) {
 		}
 	}
 	r.res.ChunksReplayed++
-	if r.tmChunks != nil {
-		r.tmChunks.Add(1)
-		r.tmOps.Add(int64(c.EndSN - c.StartSN + 1))
-	}
 	end := startAt + c.Duration
 	r.coreClock[c.PID] = end
 	r.chunkEnd[c.PID][c.CID] = end
@@ -459,7 +447,6 @@ func (r *replayer) checkRMW(pid int, sn SN, op trace.Op, old uint64, applied boo
 
 func (r *replayer) mismatch(m Mismatch) {
 	r.res.MismatchCount++
-	r.tmMismatches.Add(1)
 	if len(r.res.Mismatches) < 32 {
 		r.res.Mismatches = append(r.res.Mismatches, m)
 	}

@@ -152,10 +152,6 @@ func (s *Stepper) CaptureState() *State {
 // was and stepping from an accepted one cannot index out of range. After
 // restoring, stepping produces exactly the sequence the original run
 // produced from that position. The State is only read, never retained.
-//
-// Process-global telemetry counters (pacifier_replay_*) are monotone
-// event counts and are deliberately not rewound: after a seek they
-// keep counting every chunk the debugger re-executes.
 func (s *Stepper) RestoreState(st *State) error {
 	if err := s.checkState(st); err != nil {
 		return err

@@ -11,7 +11,6 @@ import (
 	"pacifier/internal/prof"
 	"pacifier/internal/relog"
 	"pacifier/internal/sim"
-	"pacifier/internal/telemetry"
 	"pacifier/internal/trace"
 )
 
@@ -104,10 +103,6 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 			r.lat[pid] = prof.NewLat(pid)
 		}
 	}
-	r.tmChunks = telemetry.C("pacifier_replay_chunks_total", "Chunks replayed.")
-	r.tmOps = telemetry.C("pacifier_replay_ops_total", "Operations replayed.")
-	r.tmMismatches = telemetry.C("pacifier_replay_mismatches_total", "Value mismatches observed during replay.")
-	r.tmStall = telemetry.H("pacifier_replay_stall_cycles", "Cycles a chunk stalled waiting for predecessors.")
 	if cfg.Mesh.Nodes == 0 {
 		r.cfg.Mesh = noc.DefaultConfig(log.Cores)
 	}

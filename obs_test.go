@@ -8,20 +8,11 @@ import (
 	"testing"
 
 	"pacifier"
-	"pacifier/internal/telemetry"
 )
 
 // tracedRun records and replays one fixed 16-core workload with a
 // tracer attached and returns the rendered trace plus encoded metrics.
 func tracedRun(t *testing.T) (traceJSON, metricsJSON []byte) {
-	t.Helper()
-	trace, metrics, _ := tracedRunWithLog(t)
-	return trace, metrics
-}
-
-// tracedRunWithLog is tracedRun plus the encoded record log, for the
-// telemetry determinism test.
-func tracedRunWithLog(t *testing.T) (traceJSON, metricsJSON, logBytes []byte) {
 	t.Helper()
 	w, err := pacifier.App("fft", 16, 300, 7)
 	if err != nil {
@@ -40,11 +31,7 @@ func tracedRunWithLog(t *testing.T) (traceJSON, metricsJSON, logBytes []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logBytes, err = run.EncodedLog(pacifier.Granule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pacifier.ChromeTrace(tr), metrics, logBytes
+	return pacifier.ChromeTrace(tr), metrics
 }
 
 // TestTraceAndMetricsByteIdentical runs the same seed twice and
@@ -58,26 +45,6 @@ func TestTraceAndMetricsByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(m1, m2) {
 		t.Error("metrics files differ across identical seeds")
-	}
-}
-
-// TestTelemetryEnabledByteIdentical is the telemetry determinism
-// contract end to end: a run with the live telemetry registry enabled
-// must produce byte-identical encoded logs, Chrome traces, and metrics
-// snapshots compared to the bare run that precedes it. Telemetry reads
-// the simulation; it never feeds it.
-func TestTelemetryEnabledByteIdentical(t *testing.T) {
-	bareTrace, bareMetrics, bareLog := tracedRunWithLog(t)
-	telemetry.Enable()
-	liveTrace, liveMetrics, liveLog := tracedRunWithLog(t)
-	if !bytes.Equal(bareLog, liveLog) {
-		t.Error("encoded record log differs with telemetry enabled")
-	}
-	if !bytes.Equal(bareTrace, liveTrace) {
-		t.Error("trace differs with telemetry enabled")
-	}
-	if !bytes.Equal(bareMetrics, liveMetrics) {
-		t.Error("metrics snapshot differs with telemetry enabled")
 	}
 }
 
