@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"pacifier/internal/cpu"
 	"pacifier/internal/debug"
@@ -68,6 +69,12 @@ type RunResult struct {
 	// replay entry points propagate it so replays of a profiled run
 	// produce a replay-side attribution report (replay.Result.Prof).
 	Profiled bool
+
+	// index is Workload's replay op index. The first replay or debug
+	// session of the run builds it and every later one shares it; it lives
+	// as long as the RunResult and is never written after it is built.
+	indexOnce sync.Once
+	index     *replay.OpIndex
 }
 
 // Recording returns the recording for the given mode (nil if absent).
@@ -176,6 +183,15 @@ func recordRun(w *trace.Workload, opts Options, modes []record.Mode,
 	return rr, nil
 }
 
+// opIndex returns the run's shared replay op index, building it on first
+// use. When the workload cannot be indexed it returns nil: each replay
+// then builds its own index, and NewStepper reports the error after its
+// log checks, as an unshared replay would.
+func (rr *RunResult) opIndex() *replay.OpIndex {
+	rr.indexOnce.Do(func() { rr.index, _ = replay.IndexOps(rr.Workload) })
+	return rr.index
+}
+
 // ProfReport decodes the run's prof.* counters into a per-core,
 // per-layer cycle breakdown. Empty unless Options.ProfileCycles was set.
 func (rr *RunResult) ProfReport() *prof.Report { return prof.FromStats(rr.Stats) }
@@ -216,7 +232,7 @@ func ReplayTraced(rr *RunResult, mode record.Mode, scanSeed uint64, tr *obs.Trac
 		return nil, fmt.Errorf("core: no recording for mode %v", mode)
 	}
 	return replay.Run(rec.Log, rr.Workload, rr.Records,
-		replay.Config{ScanSeed: scanSeed, Tracer: tr, Stats: rr.Stats, Profile: rr.Profiled})
+		replay.Config{ScanSeed: scanSeed, Tracer: tr, Stats: rr.Stats, Profile: rr.Profiled, Index: rr.opIndex()})
 }
 
 // ReplayExternal replays an externally supplied (decoded) log against
@@ -232,7 +248,7 @@ func ReplayExternal(rr *RunResult, log *relog.Log, mode record.Mode,
 		restoreDurations(ref.Log, log)
 	}
 	return replay.Run(log, rr.Workload, rr.Records,
-		replay.Config{Tracer: tr, Stats: rr.Stats, Profile: rr.Profiled})
+		replay.Config{Tracer: tr, Stats: rr.Stats, Profile: rr.Profiled, Index: rr.opIndex()})
 }
 
 // restoreDurations copies chunk durations, which the wire encoding
@@ -274,7 +290,7 @@ func NewDebugSession(rr *RunResult, log *relog.Log, mode record.Mode, interval i
 	// registry would leak counts between sessions (and between a session
 	// and batch replays), making identical positions hash differently.
 	return debug.New(log, rr.Workload, rr.Records,
-		replay.Config{Stats: sim.NewStats(), Profile: rr.Profiled}, interval)
+		replay.Config{Stats: sim.NewStats(), Profile: rr.Profiled, Index: rr.opIndex()}, interval)
 }
 
 // Slowdown returns the replay slowdown versus native execution for a
@@ -320,7 +336,7 @@ func VerifyRoundTrip(rr *RunResult, mode record.Mode) error {
 			dec[i].Duration = orig[i].Duration
 		}
 	}
-	res, err := replay.Run(decoded, rr.Workload, rr.Records, replay.Config{})
+	res, err := replay.Run(decoded, rr.Workload, rr.Records, replay.Config{Index: rr.opIndex()})
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,9 @@ import (
 // substitute a fake.
 type DebugSource interface {
 	// DebugJSON renders the session state (position, clocks,
-	// divergence) as a JSON document.
+	// divergence) as a JSON document. It is called on the server's
+	// goroutines while the session runs on its own, and the handler never
+	// modifies the returned bytes, so a source may return a shared slice.
 	DebugJSON() []byte
 	// DebugSubscribe registers a position-update subscriber with the
 	// given buffer size; cancel unregisters it.
@@ -35,7 +37,8 @@ func Handler(src DebugSource) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/debug", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(src.DebugJSON(), '\n'))
+		w.Write(src.DebugJSON())
+		w.Write([]byte{'\n'})
 	})
 	mux.HandleFunc("/api/debug/stream", func(w http.ResponseWriter, r *http.Request) {
 		serveStream(w, r, src)

@@ -3,6 +3,7 @@ package debughttp
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -210,5 +211,68 @@ func TestRealSessionSeek(t *testing.T) {
 				t.Errorf("seek to %d: %s reports %+v, session %+v", to, name, got, want)
 			}
 		}
+	}
+}
+
+// TestConcurrentGetsDuringSeeks polls /api/debug 50 times on one
+// goroutine while the session seeks 50 times on another, as a browser
+// does while the REPL runs. The handler serves the status the session
+// last published and never reads the session itself, so the run is clean
+// under -race, every snapshot is a whole Status, and once the seeks end
+// the snapshot is the session's own.
+func TestConcurrentGetsDuringSeeks(t *testing.T) {
+	app, err := trace.ProfileByName("water-nsq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := core.Record(app.Generate(4, 2000, 1), core.DefaultOptions(), record.ModeGranule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := core.NewDebugSession(rr, nil, record.ModeGranule, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(ses))
+	defer srv.Close()
+	get := func() (debug.Status, error) {
+		var st debug.Status
+		resp, err := http.Get(srv.URL + "/api/debug")
+		if err != nil {
+			return st, err
+		}
+		defer resp.Body.Close()
+		return st, json.NewDecoder(resp.Body).Decode(&st)
+	}
+
+	total := ses.Total()
+	errs := make(chan error, 1)
+	go func() {
+		for i := 0; i < 50; i++ {
+			st, err := get()
+			if err == nil && (st.Total != total || st.Pos < 0 || st.Pos > total) {
+				err = fmt.Errorf("pos %d of %d, want a position in [0, %d]", st.Pos, st.Total, total)
+			}
+			if err != nil {
+				errs <- fmt.Errorf("GET %d: %w", i, err)
+				return
+			}
+		}
+		errs <- nil
+	}()
+	for i := int64(0); i < 50; i++ {
+		if err := ses.SeekTo(i * 37 % (total + 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	got, err := get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ses.Status(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the seeks /api/debug reports %+v, session %+v", got, want)
 	}
 }

@@ -3,14 +3,16 @@ package debug
 import "sync"
 
 // Publisher fans position updates out to subscribers (the debughttp SSE
-// stream). Sends never block the debugging session: a subscriber whose
-// buffer is full loses intermediate updates and receives the next one —
-// positions are absolute, so a dropped update is only a skipped frame,
-// never corruption.
+// stream) and keeps the last one for readers that poll. Sends never
+// block the debugging session: a subscriber whose buffer is full loses
+// intermediate updates and receives the next one — positions are
+// absolute, so a dropped update is only a skipped frame, never
+// corruption.
 type Publisher struct {
 	mu   sync.Mutex
 	subs map[int]chan []byte
 	next int
+	last []byte
 }
 
 // NewPublisher returns an empty publisher.
@@ -43,16 +45,26 @@ func (p *Publisher) Subscribe(buf int) (<-chan []byte, func()) {
 	return ch, cancel
 }
 
-// Publish delivers b to every subscriber with buffer room.
+// Publish makes b the last published update and delivers it to every
+// subscriber with buffer room. b must not be modified afterwards.
 func (p *Publisher) Publish(b []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.last = b
 	for _, ch := range p.subs {
 		select {
 		case ch <- b:
 		default:
 		}
 	}
+}
+
+// Last returns the last published update (nil before the first). The
+// bytes are shared with every other reader and must not be modified.
+func (p *Publisher) Last() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.last
 }
 
 // Subscribers returns the current subscriber count.

@@ -27,8 +27,10 @@ const DefaultInterval = 64
 // Session is one time-travel debugging session over a replay: a
 // Stepper plus the checkpoint store that makes its position mutable in
 // both directions. Position p means "p chunks executed"; p ranges over
-// [0, TotalChunks]. A Session is not safe for concurrent use — the
-// REPL and the HTTP publisher serialize through it.
+// [0, TotalChunks]. A Session is not safe for concurrent use: one
+// goroutine (the REPL's) drives it. Other goroutines (debughttp's) may
+// call only DebugJSON and DebugSubscribe, which read what the driving
+// goroutine last published.
 type Session struct {
 	log   *relog.Log
 	st    *replay.Stepper
@@ -56,6 +58,7 @@ func New(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg rep
 	total := int64(st.TotalChunks())
 	s := &Session{log: log, st: st, ckpts: newStore(interval, total), total: total, pub: NewPublisher()}
 	s.ckpts.put(st.CaptureState())
+	s.publish()
 	return s, nil
 }
 
@@ -271,6 +274,7 @@ func (s *Session) BreakAddr(addr uint64) *Breakpoint {
 }
 
 func (s *Session) addBreak(b *Breakpoint) *Breakpoint {
+	defer s.publish()
 	s.nextID++
 	b.ID = s.nextID
 	s.breaks = append(s.breaks, b)
@@ -279,6 +283,7 @@ func (s *Session) addBreak(b *Breakpoint) *Breakpoint {
 
 // Watch adds a watchpoint on a memory word.
 func (s *Session) Watch(addr uint64) *Watchpoint {
+	defer s.publish()
 	s.nextID++
 	w := &Watchpoint{ID: s.nextID, Addr: addr}
 	s.watches = append(s.watches, w)
@@ -290,12 +295,14 @@ func (s *Session) Delete(id int) bool {
 	for i, b := range s.breaks {
 		if b.ID == id {
 			s.breaks = append(s.breaks[:i], s.breaks[i+1:]...)
+			s.publish()
 			return true
 		}
 	}
 	for i, w := range s.watches {
 		if w.ID == id {
 			s.watches = append(s.watches[:i], s.watches[i+1:]...)
+			s.publish()
 			return true
 		}
 	}
@@ -331,6 +338,7 @@ func (s *Session) MemValue(addr uint64) uint64 {
 // flush and makespan, exactly like a batch replay; seeking afterwards
 // rewinds the finalization.
 func (s *Session) Result() *replay.Result {
+	defer s.publish()
 	res, _ := s.st.Finish()
 	return res
 }
@@ -381,6 +389,7 @@ func (s *Session) TraceWindow(from, to int64, path string) error {
 	s.walk(func() bool { return s.Pos() >= to })
 	s.st.SetTracer(nil)
 	if werr := obs.WriteChromeFile(path, tr.Events(), nil); werr != nil {
+		s.publish() // the session stays at the window's end
 		return werr
 	}
 	return s.SeekTo(back)
@@ -409,7 +418,8 @@ type Status struct {
 	Interval      int64   `json:"interval"`
 }
 
-// Status captures the current session state.
+// Status captures the current session state. Like every other method
+// but DebugJSON and DebugSubscribe, it is for the driving goroutine only.
 func (s *Session) Status() Status {
 	res := s.st.Result()
 	st := Status{
@@ -437,14 +447,10 @@ func (s *Session) Status() Status {
 	return st
 }
 
-// DebugJSON implements debughttp.DebugSource.
-func (s *Session) DebugJSON() []byte {
-	b, err := json.Marshal(s.Status())
-	if err != nil {
-		return []byte(`{"error":"marshal"}`)
-	}
-	return b
-}
+// DebugJSON implements debughttp.DebugSource: the JSON-encoded Status
+// the session last published. It reads only the publisher, so it is safe
+// to call while another goroutine steps or seeks the session.
+func (s *Session) DebugJSON() []byte { return s.pub.Last() }
 
 // DebugSubscribe implements debughttp.DebugSource: each published
 // position update is one JSON-encoded Status.
@@ -452,7 +458,15 @@ func (s *Session) DebugSubscribe(buf int) (<-chan []byte, func()) {
 	return s.pub.Subscribe(buf)
 }
 
-// publish pushes the current status to stream subscribers. Called at
-// command granularity (after a step/seek/continue completes), not per
-// re-executed chunk, so a long seek is one update.
-func (s *Session) publish() { s.pub.Publish(s.DebugJSON()) }
+// publish encodes the current Status and publishes it: DebugJSON serves
+// it and stream subscribers receive it. Every method that changes what
+// Status reports calls it once, when the command completes (after a
+// step, seek, continue, Result, or a breakpoint or watchpoint change),
+// not per re-executed chunk, so a long seek is one update.
+func (s *Session) publish() {
+	b, err := json.Marshal(s.Status())
+	if err != nil {
+		b = []byte(`{"error":"marshal"}`)
+	}
+	s.pub.Publish(b)
+}

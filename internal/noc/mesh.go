@@ -85,6 +85,18 @@ func (m *Mesh) SetTracer(tr *obs.Tracer) { m.tr = tr }
 // New builds a mesh over the given engine. It panics if the configuration
 // is invalid, since machine construction errors are programming errors.
 func New(eng *sim.Engine, cfg Config, stats *sim.Stats) *Mesh {
+	m := model(cfg)
+	m.eng, m.stats = eng, stats
+	m.lastArrival = make([][]sim.Cycle, cfg.Nodes)
+	for i := range m.lastArrival {
+		m.lastArrival[i] = make([]sim.Cycle, cfg.Nodes)
+	}
+	return m
+}
+
+// model returns a mesh with cfg's geometry and latencies but no engine,
+// statistics or FIFO state: enough for Hops and Latency, not for Send.
+func model(cfg Config) *Mesh {
 	if cfg.Nodes <= 0 {
 		panic("noc: mesh needs at least one node")
 	}
@@ -92,12 +104,23 @@ func New(eng *sim.Engine, cfg Config, stats *sim.Stats) *Mesh {
 		panic("noc: negative latency")
 	}
 	w, h := Dimensions(cfg.Nodes)
-	m := &Mesh{cfg: cfg, width: w, height: h, eng: eng, stats: stats}
-	m.lastArrival = make([][]sim.Cycle, cfg.Nodes)
-	for i := range m.lastArrival {
-		m.lastArrival[i] = make([]sim.Cycle, cfg.Nodes)
+	return &Mesh{cfg: cfg, width: w, height: h}
+}
+
+// LatencyTable returns Latency(src, dst, 1) of a mesh with cfg for every
+// ordered pair of its first n nodes, row-major by source: entry src*n+dst.
+// It builds no FIFO state, so a reader of latencies alone (the replayer)
+// pays for no more than the table. It panics like New on an invalid
+// configuration, and when n exceeds cfg.Nodes.
+func LatencyTable(cfg Config, n int) []sim.Cycle {
+	m := model(cfg)
+	t := make([]sim.Cycle, n*n)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			t[src*n+dst] = m.Latency(NodeID(src), NodeID(dst), 1)
+		}
 	}
-	return m
+	return t
 }
 
 // Dimensions returns the most square (width >= height) factorization of n,

@@ -42,3 +42,42 @@ func TestNewStepperDoesNotCopyWorkload(t *testing.T) {
 			got, memops, chunks, bound)
 	}
 }
+
+// TestNewStepperWithSharedIndexAllocs: with the op index supplied,
+// NewStepper allocates nothing per memory op, only the per-chunk tables
+// and a fixed allowance. This is what each replay, debug session and
+// seek of one recording pays once the recording's index is built.
+func TestNewStepperWithSharedIndexAllocs(t *testing.T) {
+	p, err := trace.ProfileByName("radiosity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Seed = 2
+	opts.Atomic = false
+	rr, err := core.Record(p.Generate(16, 5000, 2), opts, record.ModeGranule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := rr.Recording(record.ModeGranule).Log
+	idx, err := replay.IndexOps(rr.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := replay.Config{Index: idx}
+	if _, err := replay.NewStepper(log, rr.Workload, rr.Records, cfg); err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			replay.NewStepper(log, rr.Workload, rr.Records, cfg)
+		}
+	})
+	chunks := log.TotalChunks()
+	bound := int64(64*chunks + 64<<10)
+	if got := res.AllocedBytesPerOp(); got > bound {
+		t.Fatalf("NewStepper with a shared index allocated %d bytes for %d chunks, over the %d bound",
+			got, chunks, bound)
+	}
+}

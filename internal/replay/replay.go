@@ -149,6 +149,9 @@ type Config struct {
 	// Replay uses a private registry so its prof.* counters never mix
 	// with the record side's in the shared Stats.
 	Profile bool
+	// Index, when non-nil, is the replayed workload's op index, built once
+	// by IndexOps and shared read-only; nil builds a private one.
+	Index *OpIndex
 }
 
 // ssbKey identifies a delayed store.
@@ -170,12 +173,15 @@ type replayer struct {
 	cfg Config
 	log *relog.Log
 	// threads is the workload, read in place; opIdx[pid][sn-1] is the
-	// index in threads[pid] of core pid's memory op sn.
+	// index in threads[pid] of core pid's memory op sn (OpIndex.ops,
+	// possibly shared with other steppers, so never written).
 	threads  []trace.Thread
 	opIdx    [][]int32
 	expected [][]cpu.ExecRecord
 	mem      memory
-	mesh     *noc.Mesh
+	// wake[src*Cores+dst] is the mesh's one-flit latency from core src to
+	// core dst: the wake-up a chunk pays after a predecessor on src.
+	wake []sim.Cycle
 
 	// cursor is the next chunk index per core. Chunks of a core execute
 	// in CID order and relog.Validate pins CIDs dense, so chunk (pid, cid)
@@ -272,15 +278,13 @@ func (r *replayer) ready(c *relog.Chunk) bool {
 func (r *replayer) execute(c *relog.Chunk) (sim.Cycle, sim.Cycle) {
 	// Timing: start after the po-predecessor and all chunk preds (+wake).
 	startAt := r.coreClock[c.PID]
-	wake := func(srcPID int) sim.Cycle {
-		return r.mesh.Latency(noc.NodeID(srcPID), noc.NodeID(c.PID), 1)
-	}
+	n := r.log.Cores
 	// wakePart remembers the mesh latency of whichever predecessor set
 	// startAt, so the stall can be attributed as network wake vs wait.
 	var wakePart sim.Cycle
 	for _, p := range c.Preds {
 		if r.done(p) {
-			if end, wk := r.chunkEnd[p.PID][p.CID], wake(p.PID); end+wk > startAt {
+			if end, wk := r.chunkEnd[p.PID][p.CID], r.wake[p.PID*n+c.PID]; end+wk > startAt {
 				startAt = end + wk
 				wakePart = wk
 			}
@@ -290,7 +294,7 @@ func (r *replayer) execute(c *relog.Chunk) (sim.Cycle, sim.Cycle) {
 		if e, ok := r.ssb[ssbKey{c.PID, pe.SrcCID, pe.Offset}]; ok {
 			for _, p := range e.preds {
 				if r.done(p) {
-					if end, wk := r.chunkEnd[p.PID][p.CID], wake(p.PID); end+wk > startAt {
+					if end, wk := r.chunkEnd[p.PID][p.CID], r.wake[p.PID*n+c.PID]; end+wk > startAt {
 						startAt = end + wk
 						wakePart = wk
 					}

@@ -15,15 +15,16 @@ import (
 // buffer, the memory image, the scheduler's partially-unrolled scan,
 // the RNG cursor, the accumulated Result, and the metric registries.
 //
-// Everything immutable across a run — the log, the workload's memory
-// ops, the recorded outcomes, the mesh — is deliberately absent: a
-// State is only meaningful against the (log, workload, config) triple
-// it was captured from, which the debugger re-derives deterministically
-// from the run's seed. All slices are sorted, so the JSON encoding of a
-// State is byte-deterministic and Capture∘Restore∘Capture is a fixed
-// point. A captured State is never written to afterwards, so the
-// debugger keeps its checkpoints as States and encodes one only to hash
-// or export it.
+// Everything immutable across a run — the log, the workload and its op
+// index, the recorded outcomes, the wake-latency table — is deliberately
+// absent: a State is only meaningful against the (log, workload, config)
+// triple it was captured from, which the debugger re-derives
+// deterministically from the run's seed. Whether the stepper shares its
+// op index (Config.Index) or built its own does not change the State.
+// All slices are sorted, so the JSON encoding of a State is
+// byte-deterministic and Capture∘Restore∘Capture is a fixed point. A
+// captured State is never written to afterwards, so the debugger keeps
+// its checkpoints as States and encodes one only to hash or export it.
 type State struct {
 	SchemaVersion int `json:"schema_version"`
 
@@ -47,8 +48,10 @@ type State struct {
 	// sorted by (PID, CID).
 	ChunkEnd []ChunkEndState `json:"chunk_end"`
 	// SSB is the simulated store buffer of parked delayed stores, sorted
-	// by (PID, CID, Offset). The parked trace.Op is not serialized: it is
-	// re-derived from the workload through the stepper's op index.
+	// by (PID, CID, Offset). The parked trace.Op is not serialized:
+	// RestoreState re-derives it from the workload through the stepper's
+	// op index, which it only reads, so a State restores the same way
+	// into a stepper whose index is shared with other steppers.
 	SSB []SSBState `json:"ssb"`
 	// Mem is the replayed memory image: every word ever stored to,
 	// sorted by address.

@@ -68,6 +68,12 @@ type Stepper struct {
 // The arguments and checks are the same as RunWithMemory's. The stepper
 // reads w's threads in place and never writes them, so w must not change
 // while the stepper is in use.
+//
+// The stepper reads w's memory ops through cfg.Index when it is set: an
+// index IndexOps built from this same w, which the stepper only reads, so
+// every replay and debug session of one recording can share it. One built
+// from another workload is an error. With cfg.Index nil the stepper
+// builds a private index through IndexOps.
 func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, cfg Config) (*Stepper, error) {
 	if err := relog.Validate(log); err != nil {
 		return nil, fmt.Errorf("replay: rejecting log: %w", err)
@@ -80,11 +86,28 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 		return nil, fmt.Errorf("replay: recorded outcomes cover %d cores, log has %d",
 			len(expected), log.Cores)
 	}
+	if cfg.Mesh.Nodes == 0 {
+		cfg.Mesh = noc.DefaultConfig(log.Cores)
+	}
+	if cfg.Mesh.Nodes < log.Cores {
+		return nil, fmt.Errorf("replay: mesh has %d nodes, log has %d cores", cfg.Mesh.Nodes, log.Cores)
+	}
+	index := cfg.Index
+	if index == nil {
+		var err error
+		if index, err = IndexOps(w); err != nil {
+			return nil, err
+		}
+	} else if index.w != w {
+		return nil, fmt.Errorf("replay: op index was built from another workload")
+	}
 	r := &replayer{
 		cfg:       cfg,
 		log:       log,
 		threads:   w.Threads,
+		opIdx:     index.ops,
 		expected:  expected,
+		wake:      noc.LatencyTable(cfg.Mesh, log.Cores),
 		cursor:    make([]int, log.Cores),
 		chunkEnd:  make([][]sim.Cycle, log.Cores),
 		ssb:       make(map[ssbKey]ssbEntry),
@@ -103,19 +126,10 @@ func NewStepper(log *relog.Log, w *trace.Workload, expected [][]cpu.ExecRecord, 
 			r.lat[pid] = prof.NewLat(pid)
 		}
 	}
-	if cfg.Mesh.Nodes == 0 {
-		r.cfg.Mesh = noc.DefaultConfig(log.Cores)
-	}
-	// Replay reads only the mesh's latency model, so the mesh gets no
-	// event engine.
-	r.mesh = noc.New(nil, r.cfg.Mesh, nil)
 	ends := make([]sim.Cycle, log.TotalChunks())
 	for pid := range r.chunkEnd {
 		n := len(log.Chunks(pid))
 		r.chunkEnd[pid], ends = ends[:n:n], ends[n:]
-	}
-	if err := r.indexOps(); err != nil {
-		return nil, err
 	}
 	for pid, idx := range r.opIdx {
 		if chunks := log.Chunks(pid); len(chunks) > 0 {
@@ -145,14 +159,27 @@ func (e *ThreadTooLongError) Error() string {
 		e.PID, e.Ops, maxThreadOps)
 }
 
-// indexOps builds opIdx, the SN -> op table over the workload's own
-// threads: one int32 per memory op, carved per core from one array sized
-// exactly to the memory-op count. Compute and Barrier ops get no entry.
-func (r *replayer) indexOps() error {
+// OpIndex is a workload's SN -> op table: ops[pid][sn-1] is the index in
+// the workload's thread pid of core pid's memory op sn. It is never
+// written after IndexOps returns, so any number of steppers over the
+// workload it was built from may read it, on any goroutines.
+type OpIndex struct {
+	w   *trace.Workload
+	ops [][]int32
+}
+
+// IndexOps builds w's op index: one int32 per memory op, carved per core
+// from one array sized exactly to the memory-op count. Compute and Barrier
+// ops get no entry. A thread too long for an int32 index is rejected with
+// a *ThreadTooLongError.
+func IndexOps(w *trace.Workload) (*OpIndex, error) { return buildIndex(w) }
+
+// buildIndex is IndexOps's body, a variable so tests can count builds.
+var buildIndex = func(w *trace.Workload) (*OpIndex, error) {
 	n := 0
-	for pid, th := range r.threads {
+	for pid, th := range w.Threads {
 		if len(th) > maxThreadOps {
-			return &ThreadTooLongError{PID: pid, Ops: len(th)}
+			return nil, &ThreadTooLongError{PID: pid, Ops: len(th)}
 		}
 		for _, op := range th {
 			if op.Kind.IsMem() {
@@ -161,8 +188,8 @@ func (r *replayer) indexOps() error {
 		}
 	}
 	flat := make([]int32, n)
-	r.opIdx = make([][]int32, len(r.threads))
-	for pid, th := range r.threads {
+	idx := &OpIndex{w: w, ops: make([][]int32, len(w.Threads))}
+	for pid, th := range w.Threads {
 		k := 0
 		for i, op := range th {
 			if op.Kind.IsMem() {
@@ -170,9 +197,9 @@ func (r *replayer) indexOps() error {
 				k++
 			}
 		}
-		r.opIdx[pid], flat = flat[:k:k], flat[k:]
+		idx.ops[pid], flat = flat[:k:k], flat[k:]
 	}
-	return nil
+	return idx, nil
 }
 
 // Step executes the next chunk of the schedule and reports it. It
