@@ -102,3 +102,32 @@ func TestReplayRejectsThreadTooLongForOpIndex(t *testing.T) {
 		t.Fatalf("6-op thread at a 6-op limit rejected: %v", err)
 	}
 }
+
+func TestIndexOpsRejectsTooManyPages(t *testing.T) {
+	// An op entry numbers pages in 24 bits; a workload touching more
+	// pages is rejected with a typed error before any replay starts.
+	defer func(n int) { maxPages = n }(maxPages)
+	w := &trace.Workload{
+		Name: "pages",
+		Threads: []trace.Thread{
+			{{Kind: trace.Write, Addr: 0x10000}, {Kind: trace.Read, Addr: 0x20000}},
+			{{Kind: trace.Write, Addr: 0x10008}, {Kind: trace.Compute, Cycles: 3}, {Kind: trace.Acquire, Addr: 0x30000}},
+		},
+	}
+	maxPages = 2
+	_, err := IndexOps(w)
+	var tp *TooManyPagesError
+	if !errors.As(err, &tp) || tp.Pages != 3 {
+		t.Fatalf("3 pages under a 2-page limit: got %v, want *TooManyPagesError for 3 pages", err)
+	}
+	l := relog.NewLog(2)
+	l.Append(&relog.Chunk{PID: 0, CID: 0, StartSN: 1, EndSN: 2, TS: 0, Duration: 5})
+	l.Append(&relog.Chunk{PID: 1, CID: 0, StartSN: 1, EndSN: 2, TS: 1, Duration: 5})
+	if _, err := NewStepper(l, w, nil, Config{}); !errors.As(err, &tp) {
+		t.Fatalf("NewStepper with a private index: got %v, want *TooManyPagesError", err)
+	}
+	maxPages = 3
+	if _, err := IndexOps(w); err != nil {
+		t.Fatalf("3 pages at a 3-page limit rejected: %v", err)
+	}
+}

@@ -161,9 +161,9 @@ type ssbKey struct {
 	offset int32
 }
 
-// ssbEntry is a parked delayed store.
+// ssbEntry is a parked delayed store: its op entry is read through the
+// op index when it executes.
 type ssbEntry struct {
-	op    trace.Op
 	sn    SN
 	preds []relog.ChunkRef
 }
@@ -172,11 +172,14 @@ type ssbEntry struct {
 type replayer struct {
 	cfg Config
 	log *relog.Log
-	// threads is the workload, read in place; opIdx[pid][sn-1] is the
-	// index in threads[pid] of core pid's memory op sn (OpIndex.ops,
-	// possibly shared with other steppers, so never written).
+	// threads is the workload, read in place. opIdx[pid][sn-1] is the
+	// index in threads[pid] of core pid's memory op sn, and slots[pid][sn-1]
+	// its entry (OpIndex.ops and OpIndex.slots, possibly shared with other
+	// steppers, so never written). Execution reads only the entries; the
+	// trace.Op is fetched only to report a mismatch.
 	threads  []trace.Thread
 	opIdx    [][]int32
+	slots    [][]opEntry
 	expected [][]cpu.ExecRecord
 	mem      memory
 	// wake[src*Cores+dst] is the mesh's one-flit latency from core src to
@@ -328,14 +331,14 @@ func (r *replayer) execute(c *relog.Chunk) (sim.Cycle, sim.Cycle) {
 			continue
 		}
 		delete(r.ssb, key)
-		r.applyStore(c.PID, e.sn, e.op)
+		r.applyStore(c.PID, e.sn, r.slots[c.PID][e.sn-1])
 	}
 
 	// Body. D_set and VLog are tiny per chunk (usually empty), so a
 	// linear scan beats building per-chunk lookup maps.
-	th, idx := r.threads[c.PID], r.opIdx[c.PID]
+	ents := r.slots[c.PID]
 	for sn := c.StartSN; sn <= c.EndSN; sn++ {
-		op := th[idx[sn-1]]
+		e := ents[sn-1]
 		off := int32(sn - c.StartSN)
 		r.res.OpsReplayed++
 		var d *relog.DEntry
@@ -349,31 +352,32 @@ func (r *replayer) execute(c *relog.Chunk) (sim.Cycle, sim.Cycle) {
 			if d.IsLoad {
 				// The log overrules memory: the load executed "in the
 				// future" during recording.
-				r.check(c.PID, sn, op, d.Value, true)
+				r.check(c.PID, sn, d.Value, true)
 			} else {
 				// Delayed store: park in the SSB until a P_set claims it.
-				r.ssb[ssbKey{c.PID, c.CID, off}] = ssbEntry{op: op, sn: sn, preds: d.Pred}
+				r.ssb[ssbKey{c.PID, c.CID, off}] = ssbEntry{sn: sn, preds: d.Pred}
 			}
 			continue
 		}
-		if op.Kind == trace.Read {
+		kind := e.kind()
+		if kind == trace.Read {
 			if v, ok := vlogValue(c.VLog, off); ok {
-				r.check(c.PID, sn, op, v, true)
+				r.check(c.PID, sn, v, true)
 				continue
 			}
 		}
-		switch op.Kind {
+		switch kind {
 		case trace.Read:
-			r.check(c.PID, sn, op, r.mem.load(op.Addr), false)
+			r.check(c.PID, sn, r.mem.load(e.slot()), false)
 		case trace.Write, trace.Release:
-			r.applyStore(c.PID, sn, op)
+			r.applyStore(c.PID, sn, e)
 		case trace.Acquire:
-			old := r.mem.load(op.Addr)
+			old := r.mem.load(e.slot())
 			applied := old == 0
 			if applied {
-				r.mem.store(op.Addr, 1)
+				r.mem.store(e.slot(), 1)
 			}
-			r.checkRMW(c.PID, sn, op, old, applied)
+			r.checkRMW(c.PID, sn, old, applied)
 		}
 	}
 	r.res.ChunksReplayed++
@@ -399,22 +403,23 @@ func vlogValue(vlog []relog.VEntry, off int32) (uint64, bool) {
 	return 0, false
 }
 
-func (r *replayer) applyStore(pid int, sn SN, op trace.Op) {
-	switch op.Kind {
+// applyStore executes core pid's op sn, whose entry is e, as a store.
+func (r *replayer) applyStore(pid int, sn SN, e opEntry) {
+	switch e.kind() {
 	case trace.Write:
-		r.mem.store(op.Addr, cpu.StoreValue(pid, sn))
+		r.mem.store(e.slot(), cpu.StoreValue(pid, sn))
 	case trace.Release:
-		r.mem.store(op.Addr, 0)
+		r.mem.store(e.slot(), 0)
 	default:
 		// The log delayed this SN as a store but the workload op is not
 		// one: a log/workload mismatch, not a crash.
 		r.defect(Defect{PID: pid, SN: sn,
-			Msg: fmt.Sprintf("delayed %v executed as a store", op.Kind)})
+			Msg: fmt.Sprintf("delayed %v executed as a store", e.kind())})
 	}
 }
 
 // check compares a replayed load value with the recording.
-func (r *replayer) check(pid int, sn SN, op trace.Op, got uint64, fromLog bool) {
+func (r *replayer) check(pid int, sn SN, got uint64, fromLog bool) {
 	if r.expected == nil {
 		return
 	}
@@ -428,12 +433,13 @@ func (r *replayer) check(pid int, sn SN, op trace.Op, got uint64, fromLog bool) 
 		if fromLog {
 			comment = "(from log)"
 		}
+		op := r.op(pid, sn)
 		r.mismatch(Mismatch{PID: pid, SN: sn, Kind: op.Kind, Addr: op.Addr,
 			Got: got, Want: want, Comment: comment})
 	}
 }
 
-func (r *replayer) checkRMW(pid int, sn SN, op trace.Op, old uint64, applied bool) {
+func (r *replayer) checkRMW(pid int, sn SN, old uint64, applied bool) {
 	if r.expected == nil {
 		return
 	}
@@ -443,6 +449,7 @@ func (r *replayer) checkRMW(pid int, sn SN, op trace.Op, old uint64, applied boo
 	}
 	rec := r.expected[pid][sn-1]
 	if old != rec.Value || applied != rec.Applied {
+		op := r.op(pid, sn)
 		r.mismatch(Mismatch{PID: pid, SN: sn, Kind: op.Kind, Addr: op.Addr,
 			Got: old, Want: rec.Value,
 			Comment: fmt.Sprintf("(rmw applied=%v want %v)", applied, rec.Applied)})
@@ -471,7 +478,7 @@ func (r *replayer) defect(d Defect) {
 func (r *replayer) flushSSB() {
 	for _, k := range r.ssbKeys() {
 		e := r.ssb[k]
-		r.applyStore(k.pid, e.sn, e.op)
+		r.applyStore(k.pid, e.sn, r.slots[k.pid][e.sn-1])
 		r.res.LeftoverSSB++
 		r.diverge("leftover-ssb", k.pid, k.cid, e.sn, r.coreClock[k.pid], 0, 0,
 			fmt.Sprintf("delayed store (offset %d) never claimed by a P_set", k.offset))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"pacifier/internal/coherence"
 	"pacifier/internal/relog"
 	"pacifier/internal/sim"
 	"pacifier/internal/trace"
@@ -236,6 +237,39 @@ func TestStepperAccessors(t *testing.T) {
 	}
 }
 
+// TestMemValueOffWorkload: an address on no page of the workload reads 0,
+// before the first store and after the whole replay, while a stored word
+// reads its value.
+func TestMemValueOffWorkload(t *testing.T) {
+	w, l := synthWorkload(), synthLog()
+	st := mustStepper(t, l, w, synthConfig())
+	off := []coherence.Addr{0, 0x7000_0000, ^coherence.Addr(0)}
+	for _, a := range off {
+		if v := st.MemValue(a); v != 0 {
+			t.Fatalf("MemValue(%#x) = %d before any store, want 0", uint64(a), v)
+		}
+	}
+	_, mem := finishStepper(st)
+	for _, a := range off {
+		if v := st.MemValue(a); v != 0 {
+			t.Fatalf("MemValue(%#x) = %d after the replay, want 0", uint64(a), v)
+		}
+	}
+	a := trace.SharedWord(1, 1)
+	if mem[a] == 0 || st.MemValue(a) != mem[a] {
+		t.Fatalf("MemValue(%#x) = %d, final memory holds %d", uint64(a), st.MemValue(a), mem[a])
+	}
+}
+
+// finishStepper steps st to the end and finishes it.
+func finishStepper(st *Stepper) (*Result, FinalMemory) {
+	for {
+		if _, ok := st.Step(); !ok {
+			return st.Finish()
+		}
+	}
+}
+
 func mustStepper(t *testing.T, l *relog.Log, w *trace.Workload, cfg Config) *Stepper {
 	t.Helper()
 	st, err := NewStepper(l, w, nil, cfg)
@@ -264,6 +298,7 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 		"missing chunk-end entry":       func(s *State) { s.ChunkEnd = s.ChunkEnd[1:] },
 		"extra chunk-end entry":         func(s *State) { s.ChunkEnd = append(s.ChunkEnd, ChunkEndState{PID: 3, CID: 2}) },
 		"unaligned memory word":         func(s *State) { s.Mem = append(s.Mem, MemState{Addr: 0x10003, Val: 1}) },
+		"memory word on no page":        func(s *State) { s.Mem = append(s.Mem, MemState{Addr: 0x7000_0000, Val: 1}) },
 		"SSB store outside workload":    func(s *State) { s.SSB = append(s.SSB, SSBState{PID: 0, SN: 99}) },
 		"SSB store waiting on no chunk": func(s *State) {
 			s.SSB = append(s.SSB, SSBState{PID: 0, SN: 1, Preds: []relog.ChunkRef{{PID: 1, CID: -1}}})

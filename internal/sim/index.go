@@ -41,6 +41,9 @@ func (x *Index) Get(key uint64) (int32, bool) {
 // Key returns the key interned as id; id must be one Intern returned.
 func (x *Index) Key(id int32) uint64 { return x.keys[id] }
 
+// Len returns the number of keys interned, which is the next id.
+func (x *Index) Len() int { return len(x.keys) }
+
 // Intern returns key's id, assigning the next one when key is new;
 // added reports that it was. Only a new key can grow the table.
 func (x *Index) Intern(key uint64) (id int32, added bool) {

@@ -6,8 +6,8 @@ import "testing"
 // in both directions: Get maps each key to its id, Key maps it back.
 func checkIndex(t *testing.T, x *Index, ref map[uint64]int32, order []uint64) {
 	t.Helper()
-	if len(x.keys) != len(ref) || len(order) != len(ref) {
-		t.Fatalf("index holds %d keys, reference %d (%d inserted)", len(x.keys), len(ref), len(order))
+	if x.Len() != len(ref) || len(order) != len(ref) {
+		t.Fatalf("index holds %d keys, reference %d (%d inserted)", x.Len(), len(ref), len(order))
 	}
 	for want, k := range order {
 		id, ok := x.Get(k)
