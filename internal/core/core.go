@@ -57,6 +57,12 @@ type Recording struct {
 }
 
 // RunResult is one recorded execution with one or more recordings.
+//
+// Replays of one RunResult must not run concurrently: Replay,
+// ReplayTraced and ReplayExternal observe their stall histogram into
+// Stats, and ReplayExternal and NewDebugSession write chunk durations
+// into the external log they are given. The op index they share is
+// only read, so sharing it is safe.
 type RunResult struct {
 	Workload     *trace.Workload
 	Cores        int
@@ -219,13 +225,15 @@ func maxPW(r *record.Recorder, n int) int {
 
 // Replay replays the recording of the given mode and verifies it against
 // the recorded execution. Replay stall histograms accumulate into the
-// run's stats registry.
+// run's stats registry, so replays of one RunResult must not run
+// concurrently.
 func Replay(rr *RunResult, mode record.Mode, scanSeed uint64) (*replay.Result, error) {
 	return ReplayTraced(rr, mode, scanSeed, nil)
 }
 
 // ReplayTraced is Replay with a replay-side event tracer attached (nil
-// behaves exactly like Replay).
+// behaves exactly like Replay). Like Replay, it writes the run's stats
+// registry and must not run concurrently with another replay of rr.
 func ReplayTraced(rr *RunResult, mode record.Mode, scanSeed uint64, tr *obs.Tracer) (*replay.Result, error) {
 	rec := rr.Recording(mode)
 	if rec == nil {
@@ -241,6 +249,10 @@ func ReplayTraced(rr *RunResult, mode record.Mode, scanSeed uint64, tr *obs.Trac
 // recorded reference execution. Chunk durations are not part of the
 // wire encoding; they are restored best-effort from the reference
 // recording of the given mode (by chunk id) so the timing model works.
+//
+// It writes those durations into log and its stall histogram into
+// rr.Stats, so it must not run concurrently with another replay of rr
+// or of log.
 func ReplayExternal(rr *RunResult, log *relog.Log, mode record.Mode,
 	tr *obs.Tracer) (*replay.Result, error) {
 
